@@ -18,11 +18,13 @@
 // 4096 frontends, 1 probe/min), which reproduces the pre-axis values
 // exactly.
 #include <cstdio>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "bench_common.h"
 #include "core/report.h"
+#include "obs/telemetry.h"
 #include "registry.h"
 #include "scan/frontend_cache.h"
 
@@ -78,6 +80,10 @@ CacheOutcome SimulateCluster(const ClusterKey& key) {
   CacheOutcome outcome;
   const int minutes = 3 * 60;
   sim::Rng rng(23);
+  // Built once: a name past the small-string buffer would otherwise be
+  // allocated on every call.
+  std::string names[kDomainCount];
+  for (int d = 0; d < kDomainCount; ++d) names[d] = kDomains[d].name;
 
   for (int minute = 0; minute < minutes; ++minute) {
     const sim::Time base = sim::Seconds(minute * 60);
@@ -87,18 +93,22 @@ CacheOutcome SimulateCluster(const ClusterKey& key) {
       const int arrivals = static_cast<int>(rate) +
                            (rng.Bernoulli(rate - static_cast<int>(rate)) ? 1 : 0);
       for (int a = 0; a < arrivals; ++a) {
-        cache.OnConnection(kDomains[d].name, base + rng.UniformInt(0, 59) * sim::kSecond);
+        cache.OnConnection(names[d], base + rng.UniformInt(0, 59) * sim::kSecond);
       }
       // Probe stream.
       const int probes = d == 5 ? 60 : static_cast<int>(probe_per_min);
       for (int p = 0; p < probes; ++p) {
         ++outcome.probe_total[d];
-        if (cache.OnConnection(kDomains[d].name, base + p * sim::kSecond)) {
+        if (cache.OnConnection(names[d], base + p * sim::kSecond)) {
           ++outcome.probe_hits[d];
         }
       }
     }
   }
+  obs::Count(obs::kScanFrontendCacheHits, cache.hits());
+  obs::Count(obs::kScanFrontendCacheMisses, cache.misses());
+  obs::Count(obs::kScanFrontendCacheTtlEvictions, cache.ttl_evictions());
+  obs::Count(obs::kScanFrontendCacheCapacityEvictions, cache.capacity_evictions());
   return outcome;
 }
 

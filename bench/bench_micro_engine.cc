@@ -1,14 +1,18 @@
 // google-benchmark micro suite: cost of the engine's hot paths — full
 // handshakes, 10 KB exchanges, the RTT estimator, PTO computation, ACK-range
-// bookkeeping and the event queue (§4.1's "QUIC stack delays" analogue for
-// this implementation).
+// bookkeeping, the event queue (§4.1's "QUIC stack delays" analogue for
+// this implementation) and the scan layer's frontend certificate cache.
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/pto_model.h"
 #include "quic/ack_manager.h"
 #include "recovery/pto.h"
 #include "recovery/rtt_estimator.h"
+#include "scan/frontend_cache.h"
 #include "sim/event_queue.h"
 
 namespace {
@@ -97,6 +101,35 @@ void BM_PtoEvolutionModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PtoEvolutionModel);
+
+void BM_FrontendCacheOnConnection(benchmark::State& state) {
+  // Arg 0: hit-heavy — six domains in runs of 64 calls on a warm 4096-machine
+  // cluster, nearly every call a hit. Arg 1: LRU cycling — six domains in
+  // turn through a capacity-2 cache of 64 machines, every call a miss that
+  // evicts the tail.
+  const bool cycling = state.range(0) != 0;
+  scan::FrontendCertCache::Config config;
+  config.capacity = cycling ? 2 : 1024;
+  config.ttl = sim::Seconds(300);
+  config.frontends_per_cluster = cycling ? 64 : 4096;
+  scan::FrontendCertCache cache(config, sim::Rng(7));
+  std::vector<std::string> domains;
+  for (int d = 0; d < 6; ++d) {
+    domains.push_back("frontend-domain-" + std::to_string(d) + ".example");
+  }
+  const std::size_t run = cycling ? 1 : 64;
+  sim::Time now = 0;
+  std::size_t call = 0;
+  auto next = [&] {
+    now += sim::Millis(1);
+    return cache.OnConnection(domains[(call++ / run) % domains.size()], now);
+  };
+  if (!cycling) {
+    for (int i = 0; i < 300000; ++i) next();  // touch (almost) every machine
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(next());
+}
+BENCHMARK(BM_FrontendCacheOnConnection)->Arg(0)->Arg(1);
 
 }  // namespace
 

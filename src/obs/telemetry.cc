@@ -48,6 +48,10 @@ constexpr std::array<CounterDesc, kCounterCount> kDescriptors = {{
     {"recovery.loss_detection_runs", MergeMode::kSum},
     {"recovery.packets_lost", MergeMode::kSum},
     {"recovery.loss_timer_updates", MergeMode::kSum},
+    {"scan.frontend_cache.hits", MergeMode::kSum},
+    {"scan.frontend_cache.misses", MergeMode::kSum},
+    {"scan.frontend_cache.ttl_evictions", MergeMode::kSum},
+    {"scan.frontend_cache.capacity_evictions", MergeMode::kSum},
     {"sweep.enumerate_micros", MergeMode::kSum},
     {"sweep.execute_micros", MergeMode::kSum},
     {"sweep.merge_micros", MergeMode::kSum},

@@ -77,6 +77,12 @@ enum Counter : std::size_t {
   kRecoveryLossDetectionRuns, // DetectLossInto passes (ack- and timer-driven)
   kRecoveryPacketsLost,       // packets declared lost
   kRecoveryLossTimerUpdates,  // SetLossDetectionTimer recomputations
+  // scan::FrontendCertCache, added once per simulated cluster by its caller
+  // (the cache itself never counts per call)
+  kScanFrontendCacheHits,
+  kScanFrontendCacheMisses,
+  kScanFrontendCacheTtlEvictions,
+  kScanFrontendCacheCapacityEvictions,
   // sweep pipeline phase timers (wall microseconds)
   kSweepEnumerateMicros,
   kSweepExecuteMicros,

@@ -353,9 +353,9 @@ def check_codec_coverage(files, findings):
 # ---------------------------------------------------------------------------
 
 COUNTER_NAME_RE = re.compile(
-    r"^(sim|quic\.pool|netem|recovery|sweep)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
+    r"^(sim|quic\.pool|netem|recovery|scan|sweep)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 COUNTER_LITERAL_RE = re.compile(
-    r'"((?:sim|quic\.pool|netem|recovery|sweep)\.[a-z0-9_.]+)"')
+    r'"((?:sim|quic\.pool|netem|recovery|scan|sweep)\.[a-z0-9_.]+)"')
 
 
 def parse_counter_enum(sf):
@@ -406,7 +406,7 @@ def check_telemetry_registry(files, findings):
                     imp.rel, ln, "TL001",
                     f'counter name "{name}" violates the naming policy: '
                     "dotted lower_snake under sim/quic.pool/netem/recovery/"
-                    "sweep"))
+                    "scan/sweep"))
     if not registered:
         return
     # Counter-name literals anywhere else must name a registered counter.

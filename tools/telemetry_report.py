@@ -5,7 +5,8 @@ A telemetry report is the JSON document written by `bench_suite
 --telemetry=FILE` (or `run --grid`/`collect` with the same flag): format
 "quicer-telemetry-v1", one entry per executed (bench, sweep) with its
 wall-clock execute time, executed run count and runtime counters (event
-loop, pools, netem queues, recovery — see docs/observability.md).
+loop, pools, netem queues, recovery, frontend cache — see
+docs/observability.md).
 
 Usage:
     tools/telemetry_report.py summary <report.json> [more.json ...]
@@ -34,10 +35,13 @@ FORMAT = "quicer-telemetry-v1"
 # performs, releases triggered by the next sweep's reset are attributed
 # across sweep boundaries, and high-water marks depend on scheduling. Only
 # flag those on wall-clock-sized swings, never on exact inequality.
+# Frontend-cache counters are added once per memoised cluster simulation,
+# and every process of a sharded run simulates the clusters its points
+# need, so a merged report counts shared clusters once per shard.
 # Everything else — event loop totals, netem enqueues/drops, recovery
 # activity — is determined by the grid alone and must agree exactly.
 TIMER_PREFIXES = ("sweep.",)
-LAYOUT_PREFIXES = ("quic.pool.",)
+LAYOUT_PREFIXES = ("quic.pool.", "scan.frontend_cache.")
 LAYOUT_SUFFIXES = ("max_queue_pkts", "max_queue_bytes")
 
 
@@ -70,7 +74,7 @@ def summary(paths: list) -> int:
         return 0
     width = max(len(key(e)) for e in entries)
     width = max(width, len("sweep"))
-    print(f"{'sweep':<{width}}  {'wall_s':>8}  {'runs':>8}  {'runs/s':>9}  "
+    print(f"{'sweep':<{width}}  {'wall_s':>12}  {'runs':>8}  {'runs/s':>9}  "
           f"{'events/s':>12}  {'events':>12}")
     total_wall = 0.0
     total_runs = 0
@@ -82,14 +86,14 @@ def summary(paths: list) -> int:
         events = int(counters.get("sim.events_run", 0))
         rps = runs / wall if wall > 0 else 0.0
         eps = float(entry.get("events_per_sec", events / wall if wall > 0 else 0.0))
-        print(f"{key(entry):<{width}}  {wall:>8.2f}  {runs:>8}  {rps:>9.1f}  "
+        print(f"{key(entry):<{width}}  {wall:>12.6f}  {runs:>8}  {rps:>9.1f}  "
               f"{eps:>12.0f}  {events:>12}")
         total_wall += wall
         total_runs += runs
         total_events += events
     rps = total_runs / total_wall if total_wall > 0 else 0.0
     eps = total_events / total_wall if total_wall > 0 else 0.0
-    print(f"{'TOTAL':<{width}}  {total_wall:>8.2f}  {total_runs:>8}  {rps:>9.1f}  "
+    print(f"{'TOTAL':<{width}}  {total_wall:>12.6f}  {total_runs:>8}  {rps:>9.1f}  "
           f"{eps:>12.0f}  {total_events:>12}")
     return 0
 
@@ -131,7 +135,7 @@ def diff(baseline_path: str, candidate_path: str, threshold: float,
             delta = (cand_wall - base_wall) / base_wall
             if abs(delta) > threshold:
                 direction = "slower" if delta > 0 else "faster"
-                notes.append(f"{name}: wall {base_wall:.2f}s -> {cand_wall:.2f}s "
+                notes.append(f"{name}: wall {base_wall:.6f}s -> {cand_wall:.6f}s "
                              f"({delta:+.1%} {direction})")
 
     for note in notes:
