@@ -1,14 +1,21 @@
 // google-benchmark micro suite: cost of the engine's hot paths — full
 // handshakes, 10 KB exchanges, the RTT estimator, PTO computation, ACK-range
 // bookkeeping, the event queue (§4.1's "QUIC stack delays" analogue for
-// this implementation) and the scan layer's frontend certificate cache.
+// this implementation), the scan layer's frontend certificate cache, the
+// JSON number codec and the sweep loop's per-repetition overhead.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/json.h"
 #include "core/pto_model.h"
+#include "core/sweep.h"
 #include "quic/ack_manager.h"
 #include "recovery/pto.h"
 #include "recovery/rtt_estimator.h"
@@ -130,6 +137,50 @@ void BM_FrontendCacheOnConnection(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(next());
 }
 BENCHMARK(BM_FrontendCacheOnConnection)->Arg(0)->Arg(1);
+
+void BM_JsonNumberAppend(benchmark::State& state) {
+  // 4096 seeded doubles, half of them finite random bit patterns (mostly
+  // 17-digit outputs) and half millisecond-scale delays rounded to 1 µs
+  // (short outputs), written into one string per pass; reported per value.
+  constexpr std::size_t kValues = 4096;
+  std::mt19937_64 rng(42);
+  std::vector<double> values;
+  values.reserve(kValues);
+  while (values.size() < kValues) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (!std::isfinite(v)) continue;
+    values.push_back(v);
+    values.push_back(static_cast<double>(rng() % 200000000) / 1000.0);
+  }
+  std::string out;
+  while (state.KeepRunningBatch(kValues)) {
+    out.clear();
+    for (double v : values) core::AppendJsonNumber(out, v);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JsonNumberAppend);
+
+void BM_RunSweepCheapRunner(benchmark::State& state) {
+  // 4 points × 16384 repetitions of a constant runner at parallelism 1:
+  // the sweep loop's own cost per repetition (scheduling, slot writes and
+  // the in-order fold), reported per repetition.
+  constexpr std::size_t kPoints = 4;
+  constexpr std::size_t kRepetitions = 16384;
+  core::SweepSpec spec;
+  spec.name = "micro_cheap_runner";
+  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}}};
+  spec.repetitions = static_cast<int>(kRepetitions);
+  spec.metrics = {{"v", core::MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  spec.runner = [](const core::SweepRunContext&) { return std::vector<double>{1.0}; };
+  while (state.KeepRunningBatch(kPoints * kRepetitions)) {
+    benchmark::DoNotOptimize(core::RunSweep(spec, /*max_parallelism=*/1));
+  }
+}
+BENCHMARK(BM_RunSweepCheapRunner);
 
 }  // namespace
 

@@ -1,9 +1,9 @@
 #include "core/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace quicer::core {
 namespace {
@@ -11,6 +11,8 @@ namespace {
 const std::string kEmptyString;
 const std::vector<JsonValue> kEmptyItems;
 const std::vector<std::pair<std::string, JsonValue>> kEmptyMembers;
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
@@ -50,7 +52,10 @@ const std::string& JsonValue::GetString(std::string_view key) const {
 }
 
 /// Recursive-descent parser over the document text. Depth is bounded to
-/// keep adversarial inputs from exhausting the stack.
+/// keep adversarial inputs from exhausting the stack. A failure names the
+/// value it happened in ("$.points[3].trace[17]"): each container prepends
+/// its segment while the recursion unwinds, so a successful parse never
+/// builds a path.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -58,7 +63,9 @@ class JsonParser {
   std::optional<JsonValue> Parse(std::string* error) {
     JsonValue value;
     if (!ParseValue(value, 0)) {
-      if (error != nullptr) *error = error_ + " (offset " + std::to_string(pos_) + ")";
+      if (error != nullptr) {
+        *error = error_ + " at $" + path_ + " (offset " + std::to_string(pos_) + ")";
+      }
       return std::nullopt;
     }
     SkipWhitespace();
@@ -82,6 +89,12 @@ class JsonParser {
 
   bool Fail(const std::string& message) {
     if (error_.empty()) error_ = message;
+    return false;
+  }
+
+  /// Prepends one path segment of the value that failed to parse.
+  bool Unwind(const std::string& segment) {
+    path_.insert(0, segment);
     return false;
   }
 
@@ -156,19 +169,46 @@ class JsonParser {
   }
 
   bool ParseNumber(JsonValue& out) {
-    // strtod accepts a superset (hex, inf); restrict the leading character
-    // to JSON's grammar and let it handle the rest — the documents here are
-    // machine-written with %.17g, which round-trips doubles exactly.
+    // JSON's grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, is
+    // scanned first: from_chars alone also takes inf, nan, leading zeros
+    // and "1.". The scanned span ends inside text_, so a view that is not
+    // NUL-terminated is never read past its end.
     const char first = text_[pos_];
-    if (first != '-' && !std::isdigit(static_cast<unsigned char>(first))) {
-      return Fail("unexpected character");
+    if (first != '-' && !IsDigit(first)) return Fail("unexpected character");
+    std::size_t end = pos_ + (first == '-' ? 1 : 0);
+    const auto at = [&](std::string_view chars) {
+      return end < text_.size() && chars.find(text_[end]) != std::string_view::npos;
+    };
+    const auto digits = [&] {
+      const std::size_t start = end;
+      while (end < text_.size() && IsDigit(text_[end])) ++end;
+      return end > start;
+    };
+    if (at("0")) {
+      ++end;
+    } else if (!digits()) {
+      return Fail("malformed number");
+    }
+    if (at(".")) {
+      ++end;
+      if (!digits()) return Fail("malformed number");
+    }
+    if (at("eE")) {
+      ++end;
+      if (at("+-")) ++end;
+      if (!digits()) return Fail("malformed number");
+    }
+    if (end < text_.size() &&
+        (std::isalnum(static_cast<unsigned char>(text_[end])) || text_[end] == '.')) {
+      return Fail("malformed number");  // 0x10, 01, 1.5.3
     }
     const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    out.number_ = std::strtod(begin, &end);
-    if (end == begin) return Fail("malformed number");
+    const char* last = text_.data() + end;
+    if (std::from_chars(begin, last, out.number_).ec != std::errc()) {
+      return Fail("number out of range: " + std::string(begin, last));
+    }
     out.type_ = JsonValue::Type::kNumber;
-    pos_ += static_cast<std::size_t>(end - begin);
+    pos_ = end;
     return true;
   }
 
@@ -182,7 +222,9 @@ class JsonParser {
     }
     while (true) {
       JsonValue item;
-      if (!ParseValue(item, depth + 1)) return false;
+      if (!ParseValue(item, depth + 1)) {
+        return Unwind("[" + std::to_string(out.items_.size()) + "]");
+      }
       out.items_.push_back(std::move(item));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Fail("unterminated array");
@@ -212,7 +254,7 @@ class JsonParser {
       if (!ParseString(key)) return false;
       if (!Consume(':')) return false;
       JsonValue value;
-      if (!ParseValue(value, depth + 1)) return false;
+      if (!ParseValue(value, depth + 1)) return Unwind("." + key);
       out.members_.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Fail("unterminated object");
@@ -231,6 +273,7 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   std::string error_;
+  std::string path_;
 };
 
 std::optional<JsonValue> JsonValue::Parse(std::string_view text, std::string* error) {
@@ -252,18 +295,33 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-std::string JsonNumber(double v) {
-  if (std::isnan(v)) return "null";
+void AppendJsonNumber(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "null";
+    return;
+  }
   // Shortest representation that still round-trips exactly: scenario files
   // are hand-edited, so "2.8" beats "2.7999999999999998" — but byte-exact
   // parse-back is what the sharded/merged byte-identity rests on, so wider
-  // precision is used whenever the short form is lossy.
+  // precision is used whenever the short form is lossy. to_chars(general,
+  // p) is defined as printf's %.*g in the C locale, so these are the bytes
+  // snprintf("%.*g") writes, without its locale and multi-precision paths.
   char buffer[32];
+  char* end = buffer;
   for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, v);
-    if (std::strtod(buffer, nullptr) == v) break;
+    end = std::to_chars(buffer, buffer + sizeof(buffer), v, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buffer, end, back).ec == std::errc() && back == v) break;
   }
-  return buffer;
+  out.append(buffer, end);
+}
+
+std::string JsonNumber(double v) {
+  std::string out;
+  AppendJsonNumber(out, v);
+  return out;
 }
 
 void AppendJsonSizeArray(std::string& out, const std::vector<std::size_t>& values) {

@@ -23,7 +23,9 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parses one JSON document (trailing whitespace allowed, trailing garbage
-  /// is an error). Returns nullopt and fills `error` on malformed input.
+  /// is an error). Numbers follow JSON's grammar and must fit a double.
+  /// Returns nullopt and fills `error`, naming the failing value's path, on
+  /// malformed input.
   static std::optional<JsonValue> Parse(std::string_view text, std::string* error = nullptr);
 
   JsonValue() = default;
@@ -66,10 +68,12 @@ class JsonValue {
 /// Writer-side helpers shared by the JSON-emitting modules (sweep exports,
 /// sweep partials).
 std::string JsonEscape(const std::string& s);
-/// Formats the shortest %g representation that round-trips the double
-/// exactly (falling back to %.17g) — exact parse-back is the property the
-/// sharded sweep workflow relies on for byte-identical merged exports, and
-/// the short form keeps scenario files hand-editable. NaN renders as null.
+/// Appends the shortest of %.15g, %.16g and %.17g that round-trips the
+/// double exactly — exact parse-back is the property the sharded sweep
+/// workflow relies on for byte-identical merged exports, and the short form
+/// keeps scenario files hand-editable. NaN renders as null.
+void AppendJsonNumber(std::string& out, double v);
+/// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double v);
 /// Appends "[1, 2, 3]" — the id/bin-array shape shared by the sweep partial
 /// and work-unit documents.

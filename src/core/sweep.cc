@@ -434,16 +434,16 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   const auto start = std::chrono::steady_clock::now();  // lint:allow(ND002): phase timer
 
   // Transient per-point value slots: allocated when the point's first
-  // repetition arrives, filled by (point × repetition) jobs in any order,
-  // folded into the point's series in repetition order by the worker that
-  // completes the point, then released — memory tracks the set of in-flight
-  // points, not the whole grid (a 100k-repetition scan sweep would
+  // repetition arrives, filled by (point × block of repetitions) jobs in any
+  // order, folded into the point's series in repetition order by the worker
+  // that completes the point, then released — memory tracks the set of
+  // in-flight points, not the whole grid (a 100k-repetition scan sweep would
   // otherwise zero-fill every point's slots up front).
   //
-  // decision: 0 = undecided, 1 = run, 2 = budget-skipped. The first
-  // repetition of a point to arrive decides for the whole point, so a
-  // budget expiry never leaves a partially-run point behind (and skipped
-  // points never allocate slots).
+  // decision: 0 = undecided, 1 = run, 2 = budget-skipped. The first block
+  // of a point to arrive decides for the whole point, so a budget expiry
+  // never leaves a partially-run point behind (and skipped points never
+  // allocate slots).
   struct PointState {
     std::vector<double> slots;
     std::once_flag init;
@@ -469,13 +469,22 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   progress.points_total = selected.size();
   progress.runs_total = selected.size() * win;
 
+  // A job runs a block of consecutive repetitions of one point, so its
+  // dispatch and atomics are paid once per block: a filtered-out scan
+  // repetition costs about as much as one job's overhead. Blocks stay small
+  // enough that every lane still gets at least 64 jobs to balance with.
   const std::size_t total = selected.size() * win;
-  ThreadPool::Global().ParallelFor(
-      total,
+  ThreadPool& pool = ThreadPool::Global();
+  const std::size_t block = std::clamp<std::size_t>(
+      total / (std::size_t{pool.Lanes(max_parallelism)} * 64), 1, 1024);
+  const std::size_t blocks_per_point = (win + block - 1) / block;
+  pool.ParallelFor(
+      selected.size() * blocks_per_point,
       [&](std::size_t j) {
         if (telemetry) obs::EnsureThisThread();
-        const std::size_t si = j / win;
-        const std::size_t rep = win_begin + j % win;
+        const std::size_t si = j / blocks_per_point;
+        const std::size_t first = (j % blocks_per_point) * block;
+        const std::size_t len = std::min(block, win - first);
         PointState& state = states[si];
         PointSummary& summary = result.points[selected[si]];
 
@@ -490,17 +499,19 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
 
         if (decision == 1) {
           std::call_once(state.init, [&] { state.slots.assign(win * n_metrics, 0.0); });
-          SweepRunContext ctx{summary.point, static_cast<int>(rep),
-                              seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride};
-          const std::vector<double> values = runner(ctx);
-          for (std::size_t m = 0; m < n_metrics; ++m) {
-            state.slots[(rep - win_begin) * n_metrics + m] =
-                m < values.size() ? values[m] : NoSample();
+          for (std::size_t r = first; r < first + len; ++r) {
+            const std::size_t rep = win_begin + r;
+            SweepRunContext ctx{summary.point, static_cast<int>(rep),
+                                seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride};
+            const std::vector<double> values = runner(ctx);
+            for (std::size_t m = 0; m < n_metrics; ++m) {
+              state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
+            }
           }
         }
 
-        if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last repetition of this point: fold in repetition order.
+        if (state.remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
+          // Last block of this point: fold in repetition order.
           if (decision == 2) {
             summary.budget_skipped = true;
           } else {
@@ -773,6 +784,10 @@ void WriteSweepCsv(const SweepResult& result, CsvWriter& writer) {
 
 std::string SweepResultJson(const SweepResult& result) {
   std::string out = "{\n  \"sweep\": \"" + JsonEscape(result.name) + "\",\n";
+  const auto number = [&out](std::string_view key, double v) {
+    out += key;
+    AppendJsonNumber(out, v);
+  };
   out += "  \"total_runs\": " + std::to_string(result.total_runs) + ",\n";
   out += "  \"executed_runs\": " + std::to_string(result.executed_runs) + ",\n";
   out += "  \"points\": [\n";
@@ -799,8 +814,8 @@ std::string SweepResultJson(const SweepResult& result) {
       }
       out += "}";
     }
-    out += ", \"rtt_ms\": " + JsonNumber(summary.point.rtt_ms);
-    out += ", \"delta_ms\": " + JsonNumber(summary.point.delta_ms);
+    number(", \"rtt_ms\": ", summary.point.rtt_ms);
+    number(", \"delta_ms\": ", summary.point.delta_ms);
     out += ", \"cert_bytes\": " + std::to_string(summary.point.certificate_bytes);
     if (summary.budget_skipped) out += ", \"budget_skipped\": true";
     out += ", \"metrics\": [";
@@ -813,18 +828,18 @@ std::string SweepResultJson(const SweepResult& result) {
       out += ", \"count\": " + std::to_string(s.count);
       out += ", \"aborted\": " + std::to_string(series.aborted);
       out += ", \"skipped\": " + std::to_string(series.skipped);
-      out += ", \"min\": " + JsonNumber(s.min);
-      out += ", \"p25\": " + JsonNumber(s.p25);
-      out += ", \"median\": " + JsonNumber(s.median);
-      out += ", \"p75\": " + JsonNumber(s.p75);
-      out += ", \"max\": " + JsonNumber(s.max);
-      out += ", \"mean\": " + JsonNumber(s.mean);
-      out += ", \"stddev\": " + JsonNumber(s.stddev);
+      number(", \"min\": ", s.min);
+      number(", \"p25\": ", s.p25);
+      number(", \"median\": ", s.median);
+      number(", \"p75\": ", s.p75);
+      number(", \"max\": ", s.max);
+      number(", \"mean\": ", s.mean);
+      number(", \"stddev\": ", s.stddev);
       if (series.mode == MetricMode::kTrace) {
         out += ", \"trace\": [";
         for (std::size_t t = 0; t < series.trace.size(); ++t) {
           if (t != 0) out += ", ";
-          out += JsonNumber(series.trace[t]);
+          AppendJsonNumber(out, series.trace[t]);
         }
         out += "]";
       }

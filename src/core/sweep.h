@@ -5,10 +5,11 @@
 // scenario) at 9-100 seeded repetitions per point — and the measurement
 // studies sweep (vantage × CDN × day × hour) grids over the scan layer the
 // same way. A bench declares its axes as a SweepSpec; the engine enumerates
-// the flat config grid, schedules every (point × repetition) job globally on
-// the shared persistent ThreadPool — not per point, so the tail of one point
-// overlaps the head of the next — and folds each repetition's metric values
-// into per-point series.
+// the flat config grid, schedules (point × block of repetitions) jobs
+// globally on the shared persistent ThreadPool — not per point, so the tail
+// of one point overlaps the head of the next — and folds each repetition's
+// metric values into per-point series. The block size follows from the job
+// count: total / (lanes × 64), clamped to [1, 1024].
 //
 // Extraction is declarative too: a SweepSpec carries a *set* of MetricSpecs.
 // A kSummary metric streams into a stats::Accumulator (count / min / max /

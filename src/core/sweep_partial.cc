@@ -19,7 +19,7 @@ void AppendDoubleArray(std::string& out, const std::vector<double>& values) {
   out += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i != 0) out += ", ";
-    out += JsonNumber(values[i]);
+    AppendJsonNumber(out, values[i]);
   }
   out += ']';
 }

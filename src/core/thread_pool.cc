@@ -124,8 +124,7 @@ void ThreadPool::ParallelFor(std::size_t count, const std::function<void(std::si
 
   // One runner task per extra lane; the calling thread is the final lane, so
   // the loop completes even if no worker is ever free to help.
-  unsigned lanes = size();
-  if (max_parallelism != 0 && max_parallelism < lanes) lanes = max_parallelism;
+  const unsigned lanes = Lanes(max_parallelism);
   const std::size_t helpers =
       lanes > 1 ? std::min<std::size_t>(lanes - 1, count > 1 ? count - 1 : 0) : 0;
   for (std::size_t h = 0; h < helpers; ++h) Submit(drain);

@@ -55,6 +55,12 @@ class ThreadPool {
   /// Number of worker threads.
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
+  /// The lanes ParallelFor runs on under `max_parallelism`: the pool size,
+  /// capped by a nonzero max_parallelism.
+  unsigned Lanes(unsigned max_parallelism) const {
+    return max_parallelism != 0 && max_parallelism < size() ? max_parallelism : size();
+  }
+
   /// The process-wide shared pool, created on first use with hardware
   /// concurrency (override with the QUICER_THREADS environment variable).
   static ThreadPool& Global();

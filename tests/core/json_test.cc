@@ -4,10 +4,17 @@
 // clipped distributed run hands to the merge phase.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/json.h"
 #include "core/sweep.h"
@@ -113,6 +120,136 @@ TEST(JsonParser, NumbersAndLiterals) {
   EXPECT_EQ(items[0].AsString(), "");
   EXPECT_TRUE(items[0].Items().empty());
   EXPECT_EQ(items[0].Get("missing"), nullptr);
+
+  // Extremes that still fit a double parse exactly, subnormals included.
+  const std::optional<JsonValue> extremes =
+      Parse("[-0, 1.7976931348623157e308, 4.9406564584124654e-324, 1E5, 1e+2]");
+  ASSERT_TRUE(extremes.has_value());
+  EXPECT_TRUE(std::signbit(extremes->Items()[0].AsNumber()));
+  EXPECT_EQ(extremes->Items()[1].AsNumber(), std::numeric_limits<double>::max());
+  EXPECT_EQ(extremes->Items()[2].AsNumber(), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(extremes->Items()[3].AsNumber(), 1e5);
+  EXPECT_EQ(extremes->Items()[4].AsNumber(), 100.0);
+
+  // Out of range is an error, not inf or 0, and the error names the value.
+  std::string error;
+  EXPECT_FALSE(Parse(R"({"a": [1, 1e999]})", &error).has_value());
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_NE(error.find("$.a[1]"), std::string::npos) << error;
+  EXPECT_FALSE(Parse(R"({"points": [{"trace": [0, -1e-400]}]})", &error).has_value());
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_NE(error.find("$.points[0].trace[1]"), std::string::npos) << error;
+
+  // Outside JSON's number grammar: hex, inf/nan spellings, leading zeros,
+  // bare or doubled fraction dots, empty exponents.
+  for (const char* doc : {"0x10", "[0x10]", "-inf", "[-inf]", "-nan", "inf", "nan", "-",
+                          "01", "-01", "1.", "-.5", ".5", "1.5.3", "1e", "1e+", "+1", "--1"}) {
+    error.clear();
+    EXPECT_FALSE(Parse(doc, &error).has_value()) << "'" << doc << "'";
+    EXPECT_FALSE(error.empty()) << "'" << doc << "'";
+  }
+
+  // The parser reads only the view it is given, not up to a NUL.
+  const std::optional<JsonValue> prefix = JsonValue::Parse(std::string_view("123", 2));
+  ASSERT_TRUE(prefix.has_value());
+  EXPECT_EQ(prefix->AsNumber(), 12.0);
+}
+
+/// The number writer as it was built on snprintf/strtod: the reference the
+/// to_chars codec must match byte for byte.
+std::string ReferenceJsonNumber(double v) {
+  if (std::isnan(v)) return "null";
+  char buffer[32];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, v);
+    if (std::strtod(buffer, nullptr) == v) break;
+  }
+  return buffer;
+}
+
+double FromBits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// JsonNumber writes exactly what the snprintf("%.*g") loop wrote, over
+// seeded doubles of every shape the exports carry and the corners of %g.
+TEST(JsonNumber, MatchesSnprintfReferenceByteForByte) {
+  std::mt19937_64 rng(20241104);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  auto check = [&](double v) {
+    ++checked;
+    const std::string got = JsonNumber(v);
+    const std::string want = ReferenceJsonNumber(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "JsonNumber(" << want << ") wrote " << got;
+    }
+    std::string appended = "x";
+    AppendJsonNumber(appended, v);
+    if (appended != "x" + want && ++mismatches <= 10) {
+      ADD_FAILURE() << "AppendJsonNumber(" << want << ") wrote " << appended;
+    }
+  };
+
+  for (double v : {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min()}) {
+    check(v);
+  }
+
+  // Random bit patterns: every exponent, subnormals and both signs.
+  for (int i = 0; i < 300000; ++i) check(FromBits(rng()));
+  for (int i = 0; i < 50000; ++i) check(FromBits(rng() & 0x800FFFFFFFFFFFFFull));
+
+  // Decimals with 1-17 significant digits, as hand-written or rounded
+  // values look.
+  std::uniform_int_distribution<int> digits_dist(1, 17);
+  std::uniform_int_distribution<int> exponent_dist(-30, 30);
+  for (int i = 0; i < 250000; ++i) {
+    const int digits = digits_dist(rng);
+    std::uint64_t mantissa = rng() % 100000000000000000ull;  // < 10^17
+    for (int d = 17; d > digits; --d) mantissa /= 10;
+    const std::string text =
+        std::to_string(mantissa) + "e" + std::to_string(exponent_dist(rng) - digits);
+    check(std::strtod(text.c_str(), nullptr));
+  }
+
+  // Integers up to 2^53, where every one is exact.
+  for (int i = 0; i < 200000; ++i) {
+    check(static_cast<double>(rng() % ((std::uint64_t{1} << 53) + 1)));
+  }
+
+  // Around every %g fixed/exponent switch from 1e-5 to 1e17: the powers of
+  // ten, their ulp neighbours, and the values that round up to them at 15,
+  // 16 or 17 digits.
+  for (int k = -5; k <= 17; ++k) {
+    const double power = std::strtod(("1e" + std::to_string(k)).c_str(), nullptr);
+    double up = power;
+    double down = power;
+    for (int n = 0; n < 4000; ++n) {
+      check(up);
+      check(down);
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+    for (int digits = 14; digits <= 18; ++digits) {
+      const std::string nines = "0." + std::string(digits, '9') + "e" + std::to_string(k);
+      double v = std::strtod(nines.c_str(), nullptr);
+      for (int n = 0; n < 200; ++n) {
+        check(v);
+        check(-v);
+        v = std::nextafter(v, 0.0);
+      }
+    }
+  }
+
+  EXPECT_GE(checked, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 /// A tiny synthetic spec for the partial-file round trip.

@@ -404,5 +404,62 @@ TEST(Sweep, ExpiredBudgetSkipsPointsCleanly) {
   }
 }
 
+// Jobs carry blocks of repetitions; a window that is not a multiple of any
+// block size must still fold every repetition once, in order, for any
+// parallelism, and complete each point exactly once.
+TEST(Sweep, BlockScheduledRepetitionsMatchDirectLoop) {
+  const auto value = [](std::size_t point, std::size_t rep) {
+    if ((rep * 7 + point) % 13 == 0) return NoSample();
+    return static_cast<double>(point * 100000 + rep) * 0.25;
+  };
+  SweepSpec spec;
+  spec.name = "block_test";
+  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}}}};
+  spec.repetitions = 5000;
+  spec.shard.rep_begin = 7;
+  spec.shard.rep_end = 4100;
+  spec.metrics = {{"summary", MetricMode::kSummary, /*exclude_negative=*/false, nullptr},
+                  {"trace", MetricMode::kTrace, /*exclude_negative=*/false, nullptr}};
+  spec.runner = [&](const SweepRunContext& ctx) {
+    const double v = value(ctx.point.index, static_cast<std::size_t>(ctx.repetition));
+    return std::vector<double>{v, v};
+  };
+
+  for (unsigned cap : {1u, 2u, 7u}) {
+    std::atomic<std::size_t> observed{0};
+    spec.observer = [&](const SweepProgress&) { ++observed; };
+    const SweepResult result = RunSweep(spec, cap);
+    EXPECT_EQ(observed.load(), 3u) << cap;
+    ASSERT_EQ(result.points.size(), 3u);
+    EXPECT_EQ(result.executed_runs, 3u * 4093u) << cap;
+    for (std::size_t i = 0; i < 3; ++i) {
+      stats::Accumulator summary(spec.reservoir_capacity);
+      std::vector<double> trace;
+      std::size_t skipped = 0;
+      for (std::size_t rep = 7; rep < 4100; ++rep) {
+        const double v = value(i, rep);
+        if (std::isnan(v)) {
+          ++skipped;
+          continue;
+        }
+        summary.Add(v);
+        trace.push_back(v);
+      }
+      const PointSummary& point = result.points[i];
+      EXPECT_TRUE(point.executed);
+      const MetricSeries* got_summary = point.Metric("summary");
+      const MetricSeries* got_trace = point.Metric("trace");
+      ASSERT_NE(got_summary, nullptr);
+      ASSERT_NE(got_trace, nullptr);
+      EXPECT_EQ(got_summary->skipped, skipped) << cap;
+      EXPECT_EQ(got_trace->skipped, skipped) << cap;
+      EXPECT_EQ(got_summary->summary.samples(), summary.samples())
+          << "point " << i << " cap " << cap;
+      EXPECT_EQ(got_summary->summary.Summarize().mean, summary.Summarize().mean) << cap;
+      EXPECT_EQ(got_trace->trace, trace) << "point " << i << " cap " << cap;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace quicer::core
