@@ -85,4 +85,3 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
   core::MaybeWriteSweepData(retry);
   return 0;
 }
-QUICER_BENCH_MAIN("ablation_0rtt_retry")

@@ -8,8 +8,8 @@
 //
 // Two registered benches: the strategy table is a closed-form model sweep
 // (scenario case as an extra axis, custom runner), the §5 tuning table an
-// experiment sweep over variants. The standalone binary runs both, matching
-// the legacy output.
+// experiment sweep over variants. `bench_suite --filter=ablation_ackdelay`
+// selects both.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -116,4 +116,3 @@ QUICER_BENCH("ablation_ackdelay_tuning",
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN2("ablation_ackdelay_strategies", "ablation_ackdelay_tuning")

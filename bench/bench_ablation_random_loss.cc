@@ -102,4 +102,3 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("ablation_random_loss")

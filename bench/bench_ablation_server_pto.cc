@@ -75,4 +75,3 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
   core::MaybeWriteSweepData(spurious);
   return 0;
 }
-QUICER_BENCH_MAIN("ablation_server_pto")

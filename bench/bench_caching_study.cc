@@ -230,4 +230,3 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("caching_study")

@@ -63,4 +63,3 @@ QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") 
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig02")

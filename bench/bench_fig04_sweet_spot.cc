@@ -4,8 +4,8 @@
 //
 // Sweep mapping: RTT and Δt are axes; a closed-form model runner evaluates
 // FirstPtoReduction per point (no experiments run). The zone-boundary table
-// registers as its own bench (fig04_zone); the standalone binary runs both,
-// matching the legacy output.
+// registers as its own bench (fig04_zone); `bench_suite --filter=fig04`
+// selects both (and fig04b).
 #include "bench_common.h"
 #include "core/pto_model.h"
 #include "registry.h"
@@ -91,4 +91,3 @@ QUICER_BENCH("fig04_zone", "Figure 4: largest spurious-free delta_t per RTT (mod
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN2("fig04", "fig04_zone")

@@ -78,4 +78,3 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
   core::MaybeWriteSweepData(probes);
   return 0;
 }
-QUICER_BENCH_MAIN("fig04b")

@@ -47,4 +47,3 @@ QUICER_BENCH("fig05", "Figure 5: TTFB under the amplification limit, WFC vs IACK
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig05")

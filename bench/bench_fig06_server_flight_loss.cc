@@ -63,4 +63,3 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig06")

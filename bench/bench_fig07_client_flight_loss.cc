@@ -45,4 +45,3 @@ QUICER_BENCH("fig07", "Figure 7: TTFB under second-client-flight loss") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig07")

@@ -67,4 +67,3 @@ QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)"
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig08")

@@ -98,4 +98,3 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig09")

@@ -79,4 +79,3 @@ QUICER_BENCH("fig10", "Figure 10: RTT minus reported ACK Delay, coalesced vs ins
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig10")

@@ -56,4 +56,3 @@ QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)"
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig11")

@@ -73,4 +73,3 @@ QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig12")

@@ -73,4 +73,3 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig13")

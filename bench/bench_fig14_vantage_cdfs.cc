@@ -65,4 +65,3 @@ QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig14")

@@ -75,4 +75,3 @@ QUICER_BENCH("fig15", "Figure 15: Cloudflare study from four vantage points") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig15")

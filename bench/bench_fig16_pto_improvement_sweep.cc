@@ -75,4 +75,3 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("fig16")

@@ -47,4 +47,3 @@ QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("interop_matrix")

@@ -120,4 +120,3 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("netem_burst")

@@ -82,4 +82,3 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("table1")

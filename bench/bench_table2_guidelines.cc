@@ -191,4 +191,3 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
   core::MaybeWriteSweepData(delay_probes_r);
   return 0;
 }
-QUICER_BENCH_MAIN("table2")

@@ -75,4 +75,3 @@ QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("table3")

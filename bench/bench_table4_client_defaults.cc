@@ -52,4 +52,3 @@ QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams"
   core::MaybeWriteSweepData(result);
   return 0;
 }
-QUICER_BENCH_MAIN("table4")

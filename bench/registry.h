@@ -1,25 +1,24 @@
 // Bench registry: figure benches register themselves by name so one driver
 // (bench_suite) can list and run any subset of the paper's figures/tables on
-// the shared thread pool.
+// the shared thread pool. bench_suite is the only entry point; a single
+// bench runs as `bench_suite --filter=NAME`.
 //
 // Suite-wide options (--scale, --progress, --shard, --budget-seconds) reach
 // the benches as an explicit BenchContext argument threaded through the
 // registry — not environment variables — so a bench body reads everything it
-// needs from its `ctx` parameter and standalone binaries run with the
-// defaults.
+// needs from its `ctx` parameter.
 //
 // lint:allow-file(ND002): the suite budget clock is wall time by design.
 //
-// A migrated bench file contains:
+// A bench file contains one or more registrations:
 //
 //   QUICER_BENCH("fig05", "Figure 5: TTFB under amplification limits") {
 //     ...            // bench body; `ctx` is the BenchContext; returns an
 //   }                // int exit code
-//   QUICER_BENCH_MAIN("fig05")
 //
-// Compiled standalone, QUICER_BENCH_MAIN stamps a main() so the file still
-// builds as its own binary; compiled with -DQUICER_BENCH_SUITE the macro is
-// empty and the registration is aggregated into bench_suite.
+// The bench bodies are compiled once, into an object library that
+// bench_suite and the grid round-trip test link in full, so every static
+// registrar runs.
 #pragma once
 
 #include <chrono>
@@ -43,7 +42,7 @@ struct BenchContext {
   /// (--budget-seconds). Each sweep receives the budget *remaining* at its
   /// start, so the whole suite lands under one ceiling.
   double budget_seconds = 0.0;
-  /// When the suite (or standalone binary) started, for the budget.
+  /// When the suite started, for the budget.
   std::chrono::steady_clock::time_point suite_start = std::chrono::steady_clock::now();
   /// Grid subset this process executes (--shard=i/N, --points=ids and/or
   /// --rep-range=a:b).
@@ -107,7 +106,7 @@ struct Registrar {
 
 /// Runs one registered bench by exact name; returns its exit code (2 if the
 /// name is unknown).
-int RunByName(const std::string& name, const BenchContext& context = BenchContext{});
+int RunByName(const std::string& name, const BenchContext& context);
 
 #define QUICER_BENCH_CONCAT_(a, b) a##b
 #define QUICER_BENCH_CONCAT(a, b) QUICER_BENCH_CONCAT_(a, b)
@@ -125,21 +124,5 @@ int RunByName(const std::string& name, const BenchContext& context = BenchContex
                                                               __LINE__)};               \
   static int QUICER_BENCH_CONCAT(QuicerBenchBody, __LINE__)(                            \
       [[maybe_unused]] const ::quicer::bench::BenchContext& ctx)
-
-#ifdef QUICER_BENCH_SUITE
-#define QUICER_BENCH_MAIN(name_str)
-#define QUICER_BENCH_MAIN2(first_str, second_str)
-#else
-#define QUICER_BENCH_MAIN(name_str) \
-  int main() { return ::quicer::bench::RunByName(name_str); }
-/// Standalone main for a file registering two benches: runs both in order
-/// (the legacy binary printed both sections).
-#define QUICER_BENCH_MAIN2(first_str, second_str)                  \
-  int main() {                                                     \
-    const int first = ::quicer::bench::RunByName(first_str);       \
-    const int second = ::quicer::bench::RunByName(second_str);     \
-    return first != 0 ? first : second;                            \
-  }
-#endif
 
 }  // namespace quicer::bench

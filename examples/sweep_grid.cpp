@@ -26,7 +26,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// The old core/parallel.cc scheduling: spawn + join per call.
+/// The pre-refactor scheduling: one spawn + join thread team per call.
 std::vector<double> SpawnJoinPerPoint(core::ExperimentConfig config, int repetitions) {
   std::vector<double> values(static_cast<std::size_t>(repetitions));
   const std::uint64_t base_seed = config.seed;

@@ -493,37 +493,16 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
                                              std::string* error = nullptr);
 
-/// Adapts a whole-grid computation into a runner: `compute` runs exactly
-/// once (triggered by the first repetition to arrive, other workers block),
-/// then every (point, repetition) extracts its values from the shared
-/// outcome. The adapter for legacy single-pass studies whose RNG threads
-/// through one sequential computation (the certificate-caching study).
-template <typename Outcome>
-SweepRunner SharedOutcomeRunner(
-    std::function<Outcome()> compute,
-    std::function<std::vector<double>(const Outcome&, const SweepRunContext&)> extract) {
-  struct State {
-    std::once_flag once;
-    Outcome outcome;
-  };
-  auto state = std::make_shared<State>();
-  return [state, compute = std::move(compute),
-          extract = std::move(extract)](const SweepRunContext& ctx) {
-    std::call_once(state->once, [&] { state->outcome = compute(); });
-    return extract(state->outcome, ctx);
-  };
-}
-
-/// Generalises SharedOutcomeRunner to sweeps whose shared computation
-/// depends on the point: `compute` runs once per distinct key (memoized,
-/// concurrency-safe via a per-key once_flag), and every (point, repetition)
-/// extracts its values from its key's outcome. `compute` receives the
-/// context of whichever repetition triggers it; determinism requires the
-/// outcome to depend only on the key (with its own RNG seeds) — never on
-/// the triggering repetition — so the set of keys actually computed, which
-/// depends on the shard, cannot change any outcome. The caching study keys
-/// one cluster simulation per (capacity, ttl) pair shared by its domain
-/// points; scan::StudyRunner keys one Cloudflare study per point.
+/// Adapts a shared computation into a runner: `compute` runs once per
+/// distinct key (memoized, concurrency-safe via a per-key once_flag), and
+/// every (point, repetition) extracts its values from its key's outcome.
+/// `compute` receives the context of whichever repetition triggers it;
+/// determinism requires the outcome to depend only on the key (with its own
+/// RNG seeds) — never on the triggering repetition — so the set of keys
+/// actually computed, which depends on the shard, cannot change any
+/// outcome. The caching study keys one cluster simulation per (capacity,
+/// ttl) pair shared by its domain points; scan::StudyRunner keys one
+/// Cloudflare study per point.
 template <typename Outcome, typename Key>
 SweepRunner KeyedOutcomeRunner(
     std::function<Key(const SweepRunContext&)> key_of,

@@ -117,12 +117,10 @@ bool ParseQueueModel(const JsonValue& v, const std::string& path, QueueModel& ou
     } else if (key == "depth_bytes") {
       if (!ParseCount(value, path + ".depth_bytes", out.depth_bytes, error)) return false;
     } else if (key == "aqm") {
-      if (value.type() == JsonValue::Type::kString && value.AsString() == "taildrop") {
-        out.aqm = QueueModel::Aqm::kTailDrop;
-      } else if (value.type() == JsonValue::Type::kString && value.AsString() == "codel") {
-        out.aqm = QueueModel::Aqm::kCoDel;
-      } else {
-        return Fail(error, path + ".aqm", "unknown AQM (valid: \"taildrop\", \"codel\")");
+      // Tail-drop is the only discipline; the key exists so a scenario may
+      // spell out that default.
+      if (value.type() != JsonValue::Type::kString || value.AsString() != "taildrop") {
+        return Fail(error, path + ".aqm", "unsupported AQM (valid: \"taildrop\")");
       }
     } else {
       return Fail(error, path,
@@ -214,10 +212,6 @@ std::string QueueJson(const QueueModel& m) {
   if (m.depth_bytes > 0) {
     if (out.size() > 1) out += ", ";
     out += "\"depth_bytes\": " + std::to_string(m.depth_bytes);
-  }
-  if (m.aqm == QueueModel::Aqm::kCoDel) {
-    if (out.size() > 1) out += ", ";
-    out += "\"aqm\": \"codel\"";
   }
   return out + "}";
 }

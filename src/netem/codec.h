@@ -13,9 +13,10 @@
 //     | {"gilbert": {"p": P, "r": R, "loss_good": G, "loss_bad": B}}
 //       (loss_good omitted at 0, loss_bad omitted at 1 — the classic
 //        Gilbert channel)
-//   Q = {"depth_pkts": N, "depth_bytes": N, "aqm": "codel"}
-//       ({} = unbounded tail-drop FIFO; "aqm": "taildrop" is the omitted
-//        default, "codel" is accepted but currently behaves as tail-drop)
+//   Q = {"depth_pkts": N, "depth_bytes": N}
+//       ({} = unbounded tail-drop FIFO; the parser also accepts
+//        "aqm": "taildrop", the only discipline, which the writer omits,
+//        and rejects any other AQM)
 //
 // The parser additionally accepts a "both" direction key in "loss" and
 // "queue" as shorthand for identical up/down models (the writer always

@@ -5,13 +5,12 @@
 // loss. This module makes the path pluggable: composable per-direction
 // models for stochastic loss (independent Bernoulli, Gilbert–Elliott
 // two-state bursty), the bottleneck queue discipline (legacy
-// transmitter-busy clock, or a bounded FIFO with a tail-drop AQM and a
-// CoDel hook stubbed for later), and asymmetric path parameters (up/down
-// bandwidth, one-way delay, jitter). These structs are pure data — the
-// runtime state machines live in loss_process.h / queue.h, the JSON codec
-// in codec.h — so a LinkModel serializes through scenario files and sweeps
-// as a first-class axis. A default-constructed LinkModel reproduces the
-// legacy pipe bit for bit.
+// transmitter-busy clock, or a bounded tail-drop FIFO), and asymmetric
+// path parameters (up/down bandwidth, one-way delay, jitter). These
+// structs are pure data — the runtime state machines live in
+// loss_process.h / queue.h, the JSON codec in codec.h — so a LinkModel
+// serializes through scenario files and sweeps as a first-class axis. A
+// default-constructed LinkModel reproduces the legacy pipe bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -60,23 +59,19 @@ struct LossModel {
 struct QueueModel {
   enum class Kind {
     kTransmitterClock,  // legacy: unbounded, modeled as a busy clock
-    kFifo,              // bounded FIFO; serialization delay emerges from occupancy
-  };
-  enum class Aqm {
-    kTailDrop,  // drop arrivals while the queue is full
-    kCoDel,     // hook for a CoDel-style AQM; currently behaves as tail-drop
+    kFifo,              // bounded tail-drop FIFO; serialization delay emerges from
+                        // occupancy, arrivals while it is full are dropped
   };
   Kind kind = Kind::kTransmitterClock;
   /// Capacity in datagrams / wire bytes; 0 = unbounded in that unit. Both
   /// limits apply when both are set.
   std::size_t depth_pkts = 0;
   std::size_t depth_bytes = 0;
-  Aqm aqm = Aqm::kTailDrop;
 
   bool IsDefault() const { return kind == Kind::kTransmitterClock; }
   friend bool operator==(const QueueModel& a, const QueueModel& b) {
     return a.kind == b.kind && a.depth_pkts == b.depth_pkts &&
-           a.depth_bytes == b.depth_bytes && a.aqm == b.aqm;
+           a.depth_bytes == b.depth_bytes;
   }
   friend bool operator!=(const QueueModel& a, const QueueModel& b) { return !(a == b); }
 };

@@ -12,9 +12,7 @@ std::optional<sim::Time> BottleneckQueue::Enqueue(sim::Time now, std::size_t wir
     in_flight_.pop_front();
   }
 
-  // The AQM decides admission against the post-drain occupancy. Both Aqm
-  // values currently tail-drop; kCoDel is the reserved hook for a
-  // sojourn-time controller.
+  // Tail-drop admission against the post-drain occupancy.
   const bool full =
       (model_.depth_pkts > 0 && in_flight_.size() >= model_.depth_pkts) ||
       (model_.depth_bytes > 0 && queued_bytes_ + wire_bytes > model_.depth_bytes);

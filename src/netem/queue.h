@@ -5,10 +5,9 @@
 // serialization time. BottleneckQueue keeps exactly that departure
 // arithmetic but tracks the datagrams still waiting for (or on) the line,
 // so occupancy is observable, a configurable depth (packets and/or wire
-// bytes) bounds it, and the AQM decides the fate of arrivals at a full
-// queue — tail-drop today, with the CoDel-style hook reserved in
-// QueueModel::Aqm. With unbounded depth the departure times are identical
-// to the busy clock's; only drops and stats differ.
+// bytes) bounds it, and arrivals at a full queue are tail-dropped. With
+// unbounded depth the departure times are identical to the busy clock's;
+// only drops and stats differ.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +23,7 @@ namespace quicer::netem {
 class BottleneckQueue {
  public:
   struct Stats {
-    std::uint64_t dropped = 0;    // arrivals rejected by the AQM
+    std::uint64_t dropped = 0;    // arrivals tail-dropped at a full queue
     std::uint64_t max_pkts = 0;   // occupancy high-water marks, post-admission
     std::uint64_t max_bytes = 0;
   };
@@ -46,8 +45,8 @@ class BottleneckQueue {
   bool active() const { return model_.kind == QueueModel::Kind::kFifo; }
 
   /// Offers one datagram of `wire_bytes` to the queue at time `now`.
-  /// Returns its bottleneck departure time, or nullopt when the AQM drops
-  /// it. `bandwidth_bps` must be positive.
+  /// Returns its bottleneck departure time, or nullopt when the full queue
+  /// tail-drops it. `bandwidth_bps` must be positive.
   std::optional<sim::Time> Enqueue(sim::Time now, std::size_t wire_bytes,
                                    double bandwidth_bps);
 

@@ -127,10 +127,17 @@ TEST(Sweep, MedianMatchesCollectTtfbMs) {
 
 TEST(Sweep, DeterministicAcrossParallelismCaps) {
   SweepSpec spec = SmallSpec();
-  // Per-client loss keyed off the resolved config exercises the loss axis.
-  spec.axes.losses = {{"second-client-flight", [](const ExperimentConfig& c) {
-                         return SecondClientFlightLoss(c.client);
+  // Per-client loss keyed off the resolved config exercises the loss axis;
+  // random loss consults the seeded RNG, so its runs actually diverge.
+  spec.axes.losses = {{"second-client-flight",
+                       [](const ExperimentConfig& c) { return SecondClientFlightLoss(c.client); }},
+                      {"random", [](const ExperimentConfig&) {
+                         sim::LossPattern loss;
+                         loss.DropRandom(sim::Direction::kServerToClient, 0.08);
+                         loss.DropRandom(sim::Direction::kClientToServer, 0.05);
+                         return loss;
                        }}};
+  spec.base.time_limit = sim::Seconds(30);
   spec.metrics = {{"response_ttfb_ms", MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
 

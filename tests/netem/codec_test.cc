@@ -85,9 +85,11 @@ TEST(LinkModelCodec, BothExcludesPerDirectionKeys) {
 TEST(LinkModelCodec, QueueRoundTrips) {
   ExpectCanonical(R"({"queue": {"down": {"depth_pkts": 12}}})",
                   R"({"queue": {"down": {"depth_pkts": 12}}})");
-  ExpectCanonical(R"({"queue": {"both": {"depth_pkts": 4, "depth_bytes": 65536, "aqm": "codel"}}})",
-                  R"({"queue": {"up": {"depth_pkts": 4, "depth_bytes": 65536, "aqm": "codel"}, )"
-                  R"("down": {"depth_pkts": 4, "depth_bytes": 65536, "aqm": "codel"}}})");
+  // "aqm": "taildrop" spells out the only discipline; the writer omits it.
+  ExpectCanonical(
+      R"({"queue": {"both": {"depth_pkts": 4, "depth_bytes": 65536, "aqm": "taildrop"}}})",
+      R"({"queue": {"up": {"depth_pkts": 4, "depth_bytes": 65536}, )"
+      R"("down": {"depth_pkts": 4, "depth_bytes": 65536}}})");
   // {} selects the unbounded tail-drop FIFO (still distinct from the
   // default transmitter clock).
   const std::optional<LinkModel> model = Parse(R"({"queue": {"up": {}}})");
@@ -140,6 +142,7 @@ TEST(LinkModelCodec, RejectsInvalidDocuments) {
       {R"({"queue": {"up": {"depth_pkts": -1}}})", "depth_pkts"},
       {R"({"queue": {"up": {"depth_pkts": 1.5}}})", "depth_pkts"},
       {R"({"queue": {"up": {"aqm": "red"}}})", "aqm"},
+      {R"({"queue": {"up": {"aqm": "codel"}}})", "queue.up.aqm"},
       {R"({"path": {"up_bps": 0}})", "up_bps"},
       {R"({"path": {"up_bps": -5}})", "up_bps"},
       {R"({"path": {"sideways_ms": 1}})", "sideways_ms"},

@@ -83,14 +83,5 @@ TEST(BottleneckQueue, StatsTrackHighWaterMarks) {
   EXPECT_EQ(queue.stats().max_pkts, 5u);
 }
 
-TEST(BottleneckQueue, CodelHookBehavesAsTailDropToday) {
-  QueueModel model = Fifo(/*depth_pkts=*/1);
-  model.aqm = QueueModel::Aqm::kCoDel;
-  BottleneckQueue queue(model);
-  EXPECT_TRUE(queue.Enqueue(0, kPkt, kBps).has_value());
-  EXPECT_FALSE(queue.Enqueue(0, kPkt, kBps).has_value());
-  EXPECT_EQ(queue.stats().dropped, 1u);
-}
-
 }  // namespace
 }  // namespace quicer::netem
