@@ -1,8 +1,9 @@
 // google-benchmark micro suite: cost of the engine's hot paths — full
 // handshakes, 10 KB exchanges, the RTT estimator, PTO computation, ACK-range
-// bookkeeping, the event queue (§4.1's "QUIC stack delays" analogue for
-// this implementation), the scan layer's frontend certificate cache, the
-// JSON number codec and the sweep loop's per-repetition overhead.
+// bookkeeping, the sent-packet ledger's ACK path, the event queue (§4.1's
+// "QUIC stack delays" analogue for this implementation), the scan layer's
+// frontend certificate cache, the JSON number codec and the sweep loop's
+// per-repetition overhead.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "quic/ack_manager.h"
 #include "recovery/pto.h"
 #include "recovery/rtt_estimator.h"
+#include "recovery/sent_packets.h"
 #include "scan/frontend_cache.h"
 #include "sim/event_queue.h"
 
@@ -92,6 +94,41 @@ void BM_AckManagerReceiveAndBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AckManagerReceiveAndBuild);
+
+void BM_SentPacketLedgerAck(benchmark::State& state) {
+  // Steady state with N packets in flight: each iteration sends two packets
+  // and receives an ACK (one canonical range) of the two oldest, so N stays
+  // constant. Reported per iteration: two sends plus one ACK.
+  const auto in_flight = static_cast<std::uint64_t>(state.range(0));
+  recovery::SentPacketLedger ledger;
+  recovery::AckResult result;
+  std::uint64_t next_pn = 0;
+  sim::Time now = 0;
+  const auto send = [&] {
+    recovery::SentPacket packet;
+    packet.packet_number = next_pn++;
+    packet.sent_time = now;
+    packet.bytes = 1200;
+    packet.ack_eliciting = true;
+    packet.in_flight = true;
+    ledger.OnPacketSent(packet);
+  };
+  for (std::uint64_t i = 0; i < in_flight; ++i) send();
+  quic::AckFrame ack;
+  ack.ranges.resize(1);
+  std::uint64_t oldest = 0;
+  for (auto _ : state) {
+    now += 10;
+    send();
+    send();
+    ack.largest_acked = oldest + 1;
+    ack.ranges[0] = quic::PnRange{oldest, oldest + 1};
+    ledger.OnAckReceivedInto(ack, now, result);
+    oldest += 2;
+    benchmark::DoNotOptimize(result.newly_acked.data());
+  }
+}
+BENCHMARK(BM_SentPacketLedgerAck)->Arg(4)->Arg(80)->Arg(512);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   sim::EventQueue queue;

@@ -92,12 +92,12 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
   // while keeping every container's capacity, so repeated runs construct and
   // destroy nothing.
   if (link_.has_value()) {
-    link_->ResetForRun(link_config, rng.Fork(1));
+    link_->ResetForRun(link_config, rng.Fork(1), config.loss);
   } else {
     link_.emplace(queue, link_config, rng.Fork(1));
+    link_->set_loss_pattern(config.loss);
   }
   sim::Link& link = *link_;
-  link.set_loss_pattern(config.loss);
 
   quic::ClientConfig client_config{BuildClientConfig(config)};
   client_config.enable_0rtt = config.mode == HandshakeMode::k0Rtt;

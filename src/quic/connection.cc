@@ -1,7 +1,9 @@
 #include "quic/connection.h"
 
 #include <algorithm>
+#include <array>
 #include <new>
+#include <string_view>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -19,6 +21,12 @@ constexpr std::size_t kStreamFrameOverhead = 12;
 
 /// Minimum bytes of budget a blocked server needs before arming its PTO.
 constexpr std::size_t kMinProbeBudget = 50;
+
+/// The per-PTO trace note, one fixed string per space (indexed by
+/// SpaceIndex; the names are ToString(space)), so recording it never
+/// allocates.
+constexpr std::string_view kPtoExpiredNotes[kNumSpaces] = {
+    "PTO expired (space Initial)", "PTO expired (space Handshake)", "PTO expired (space 1-RTT)"};
 
 AckPolicy ImmediateAckPolicy(const AckPolicy& base) {
   AckPolicy policy = base;
@@ -356,9 +364,7 @@ void Connection::Flush() {
       const PacketNumberSpace s = state.acks.space();
       if (s == PacketNumberSpace::kAppData && !has_one_rtt_send_keys_) continue;
 
-      Packet header_probe;
-      header_probe.space = s;
-      const std::size_t header_cost = header_probe.WireSize();
+      const std::size_t header_cost = HeaderSize(s) + kAeadTagSize;
       if (capacity - used <= header_cost + 8) break;
       std::size_t packet_budget = capacity - used - header_cost;
       std::vector<Frame> frames = AcquireFrameVec();
@@ -993,8 +999,7 @@ void Connection::OnLossDetectionTimeout() {
   ++metrics_.pto_expirations;
   obs::Count(obs::kRecoveryPtoFired);
   RecordLossTimer(/*event_type=*/2, /*timer_type=*/1, pending_pto_space_, 0);
-  trace_.RecordNote(queue_.now(), "recovery",
-                    "PTO expired (space " + std::string(ToString(pending_pto_space_)) + ")");
+  trace_.RecordNote(queue_.now(), "recovery", kPtoExpiredNotes[SpaceIndex(pending_pto_space_)]);
   TouchPtoBase();
   SendProbes(pending_pto_space_);
   ++pto_count_;
@@ -1032,19 +1037,17 @@ void Connection::SendProbes(PacketNumberSpace s) {
   // Gather outstanding retransmittable data starting at the probed space and
   // continuing through later spaces — real stacks coalesce retransmitted
   // flights the same way they coalesced the originals. A cursor spreads the
-  // data across the 1-2 probe datagrams instead of duplicating it.
-  struct Chunk {
-    PacketNumberSpace space;
-    Frame frame;
-  };
-  std::vector<Chunk> outstanding;
+  // data across the 1-2 probe datagrams instead of duplicating it. The
+  // frames stay where the ledgers parked them (the run arena); the scratch
+  // list only points at them, so later probe sends cannot move them.
+  probe_frames_.clear();
   for (int idx = SpaceIndex(s); idx < kNumSpaces; ++idx) {
     const PacketNumberSpace os = static_cast<PacketNumberSpace>(idx);
     SpaceState& other = space(os);
     if (other.discarded) continue;
     if (os == PacketNumberSpace::kAppData && !has_one_rtt_send_keys_) continue;
-    for (const auto& frame : other.ledger.OutstandingRetransmittable()) {
-      outstanding.push_back(Chunk{os, frame});
+    for (const recovery::SentPacket& sent : other.ledger.Outstanding()) {
+      for (const Frame& frame : sent.retransmittable) probe_frames_.emplace_back(os, &frame);
     }
   }
 
@@ -1053,28 +1056,29 @@ void Connection::SendProbes(PacketNumberSpace s) {
   std::size_t cursor = 0;
   for (int i = 0; i < count; ++i) {
     // Group this datagram's frames by space, preserving space order.
-    std::vector<std::vector<Frame>> by_space(kNumSpaces);
-    PacketNumberSpace first_space = s;
+    std::array<std::vector<Frame>, kNumSpaces> by_space;
     std::size_t budget = kMaxDatagramSize - 120;
     bool any_data = false;
-    while (cursor < outstanding.size()) {
-      const std::size_t size = quic::WireSize(outstanding[cursor].frame);
+    while (cursor < probe_frames_.size()) {
+      const auto [frame_space, frame] = probe_frames_[cursor];
+      const std::size_t size = quic::WireSize(*frame);
       if (size > budget) break;
       budget -= size;
-      if (!any_data) first_space = outstanding[cursor].space;
-      by_space[SpaceIndex(outstanding[cursor].space)].push_back(outstanding[cursor].frame);
+      std::vector<Frame>& group = by_space[SpaceIndex(frame_space)];
+      if (group.empty()) group = AcquireFrameVec();
+      group.push_back(*frame);
       any_data = true;
       ++cursor;
     }
 
-    std::vector<Packet> packets;
+    std::vector<Packet> packets = AcquirePacketVec();
     bool ping_only = false;
     if (any_data) {
       for (int idx = 0; idx < kNumSpaces; ++idx) {
         if (by_space[idx].empty()) continue;
         const PacketNumberSpace os = static_cast<PacketNumberSpace>(idx);
-        for (std::uint64_t pn : space(os).ledger.OutstandingPns()) {
-          InsertSortedPn(probed_pns_, {os, pn});
+        for (const recovery::SentPacket& sent : space(os).ledger.Outstanding()) {
+          InsertSortedPn(probed_pns_, {os, sent.packet_number});
         }
         metrics_.retransmitted_frames += static_cast<int>(by_space[idx].size());
         packets.push_back(BuildPacket(os, std::move(by_space[idx])));
@@ -1082,17 +1086,20 @@ void Connection::SendProbes(PacketNumberSpace s) {
     } else if (config_.probe_with_data && !last_crypto_sent_[SpaceIndex(s)].empty()) {
       // §5 tuning: re-send the ClientHello (or last crypto flight) instead
       // of a PING so the server can recover state faster.
-      metrics_.retransmitted_frames +=
-          static_cast<int>(last_crypto_sent_[SpaceIndex(s)].size());
-      packets.push_back(BuildPacket(s, last_crypto_sent_[SpaceIndex(s)]));
+      const std::vector<Frame>& flight = last_crypto_sent_[SpaceIndex(s)];
+      metrics_.retransmitted_frames += static_cast<int>(flight.size());
+      std::vector<Frame> frames = AcquireFrameVec();
+      frames.assign(flight.begin(), flight.end());
+      packets.push_back(BuildPacket(s, std::move(frames)));
     } else {
-      packets.push_back(BuildPacket(s, {PingFrame{}}));
+      std::vector<Frame> frames = AcquireFrameVec();
+      frames.emplace_back(PingFrame{});
+      packets.push_back(BuildPacket(s, std::move(frames)));
       ping_only = true;
     }
 
     const PacketNumberSpace probe_space = packets.front().space;
     const std::uint64_t pn = packets.front().packet_number;
-    (void)first_space;
     // Clients pad Initial probe datagrams to 1200 B, which also refills an
     // amplification-blocked server's budget (Fig 5).
     const std::size_t pad =

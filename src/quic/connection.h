@@ -427,6 +427,10 @@ class Connection {
   recovery::AckResult ack_scratch_;
   std::vector<recovery::SentPacket> loss_scratch_;
 
+  // Outstanding retransmittable frames a PTO gathers for its probes, as
+  // (space, frame in the run arena) pointers; reused across PTOs.
+  std::vector<std::pair<PacketNumberSpace, const Frame*>> probe_frames_;
+
   // Last crypto flight per space (probe_with_data).
   std::array<std::vector<Frame>, kNumSpaces> last_crypto_sent_;
 

@@ -6,11 +6,9 @@
 
 namespace quicer::quic {
 
-Datagram::~Datagram() {
-  if (!packets.empty() || packets.capacity() > 0) ReleasePacketVec(std::move(packets));
-}
+void Datagram::ReleaseToPool() { ReleasePacketVec(std::move(packets)); }
 
-std::size_t Packet::HeaderSize() const {
+std::size_t HeaderSize(PacketNumberSpace space) {
   switch (space) {
     case PacketNumberSpace::kInitial:
       // Long header, version, DCID/SCID (8 each), token length, length, pn.
@@ -26,15 +24,7 @@ std::size_t Packet::HeaderSize() const {
 
 std::size_t Packet::WireSize() const {
   const std::size_t token_bytes = token != 0 ? 9 : 0;  // length prefix + token
-  return HeaderSize() + token_bytes + quic::WireSize(frames) + kAeadTagSize;
-}
-
-std::vector<Frame> Packet::RetransmittableFrames() const {
-  std::vector<Frame> out;
-  for (const Frame& frame : frames) {
-    if (IsRetransmittable(frame)) out.push_back(frame);
-  }
-  return out;
+  return HeaderSize(space) + token_bytes + quic::WireSize(frames) + kAeadTagSize;
 }
 
 std::string Packet::Describe() const {

@@ -14,6 +14,10 @@
 
 namespace quicer::quic {
 
+/// Long/short header size estimate for a packet in `space` (long headers
+/// carry CIDs + lengths), excluding any Retry token.
+std::size_t HeaderSize(PacketNumberSpace space);
+
 /// One QUIC packet: a packet number in a space plus frames.
 struct Packet {
   PacketNumberSpace space = PacketNumberSpace::kInitial;
@@ -29,16 +33,10 @@ struct Packet {
   /// PadDatagramTo).
   std::size_t wire_size = 0;
 
-  /// Long/short header size estimate (long headers carry CIDs + lengths).
-  std::size_t HeaderSize() const;
-
   /// Full encoded size: header + frames + AEAD tag.
   std::size_t WireSize() const;
 
   bool IsAckEliciting() const { return AnyAckEliciting(frames); }
-
-  /// Frames worth retransmitting if this packet is declared lost.
-  std::vector<Frame> RetransmittableFrames() const;
 
   /// True if the packet carries a frame of type T.
   template <typename T>
@@ -78,7 +76,11 @@ struct Datagram {
   /// still sitting in an event-queue closure when a run ends and the queue
   /// is reset — and every one of those paths must preserve pool capacity or
   /// warm RunContexts start re-allocating what the teardown destroyed.
-  ~Datagram();
+  /// Most datagrams die as moved-from shells, so the capacity test is
+  /// inline and only a real buffer pays the out-of-line release.
+  ~Datagram() {
+    if (packets.capacity() != 0) ReleaseToPool();
+  }
 
   std::size_t WireSize() const;
   bool IsAckEliciting() const;
@@ -87,6 +89,9 @@ struct Datagram {
   bool HasSpace(PacketNumberSpace space) const;
 
   std::string Describe() const;
+
+ private:
+  void ReleaseToPool();
 };
 
 /// Pads `datagram` with a PADDING frame in its last packet so its wire size

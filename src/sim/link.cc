@@ -24,10 +24,10 @@ void Link::ApplyModel() {
   }
 }
 
-void Link::ResetForRun(const Config& config, Rng rng) {
+void Link::ResetForRun(const Config& config, Rng rng, const LossPattern& loss) {
   config_ = config;
   rng_ = rng;
-  loss_ = LossPattern();
+  loss_ = loss;
   drop_hook_ = nullptr;
   ApplyModel();
   for (int dir : {netem::kUp, netem::kDown}) {

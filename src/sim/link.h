@@ -82,11 +82,13 @@ class Link {
 
   /// Rewinds the path to freshly-constructed state for context reuse between
   /// repetitions: new config and rng, datagram indices restarted, stats and
-  /// queues emptied, loss pattern cleared (re-install via set_loss_pattern).
-  void ResetForRun(const Config& config, Rng rng);
+  /// queues emptied, `loss` installed as by set_loss_pattern.
+  void ResetForRun(const Config& config, Rng rng, const LossPattern& loss);
 
-  /// Installs the loss pattern applied to subsequent sends.
-  void set_loss_pattern(LossPattern pattern) { loss_ = std::move(pattern); }
+  /// Installs the loss pattern applied to subsequent sends. Copy-assigns
+  /// over the current one, so reinstalling a same-sized pattern every
+  /// repetition reuses its storage instead of allocating.
+  void set_loss_pattern(const LossPattern& pattern) { loss_ = pattern; }
 
   /// Installs (or clears, with nullptr) the drop observer.
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }

@@ -21,7 +21,9 @@
 
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "core/loss_scenarios.h"
 #include "obs/telemetry.h"
 
 namespace {
@@ -91,6 +93,40 @@ TEST(RunContextAlloc, RepeatedRepetitionsAreAllocationFree) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       context.Run(QuietConfig(seed));
     }
+  }
+  EXPECT_EQ(scope.count(), 0u);
+}
+
+TEST(RunContextAlloc, LossyHandshakeWithPtoIsAllocationFree) {
+  // The Fig 6 loss scenario: the tail of the first server flight is lost,
+  // so PTOs fire and send probes that bundle outstanding data, and loss
+  // detection declares packets lost and re-queues their frames. Probes,
+  // retransmissions and the per-PTO trace note must stay allocation-free
+  // once the context is warm.
+  // Built up front: a loss pattern is a std::set, so making one allocates.
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ExperimentConfig config = QuietConfig(seed);
+    config.loss = FirstServerFlightTailLoss(config.behavior, config.certificate_bytes,
+                                            config.http);
+    configs.push_back(config);
+  }
+  RunContext context;
+  int ptos = 0;
+  int retransmitted_frames = 0;
+  for (const ExperimentConfig& config : configs) {
+    ExperimentResult result = context.Run(config);
+    ASSERT_TRUE(result.completed);
+    ptos += result.client.pto_expirations + result.server.pto_expirations;
+    retransmitted_frames += result.client.retransmitted_frames + result.server.retransmitted_frames;
+  }
+  // The scenario really exercises the recovery paths under test.
+  EXPECT_GT(ptos, 0);
+  EXPECT_GT(retransmitted_frames, 0);
+
+  AllocationScope scope;
+  for (int round = 0; round < 3; ++round) {
+    for (const ExperimentConfig& config : configs) context.Run(config);
   }
   EXPECT_EQ(scope.count(), 0u);
 }

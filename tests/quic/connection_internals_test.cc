@@ -207,5 +207,69 @@ TEST(ConnectionInternals, StreamBytesAccounting) {
             http::RequestBytes(http::Version::kHttp1));
 }
 
+/// A bare server endpoint for white-box sends: the test queues frames
+/// directly, hand-builds the peer's datagrams and keeps what goes out.
+class BareServer : public Connection {
+ public:
+  explicit BareServer(sim::EventQueue& queue)
+      : Connection(queue, Perspective::kServer, ConnectionConfig{}, sim::Rng(1)) {
+    set_send_function([this](Datagram&& datagram) { sent.push_back(std::move(datagram)); });
+  }
+
+  void QueueInitialCrypto(std::uint32_t bytes) {
+    QueueFrame(PacketNumberSpace::kInitial,
+               CryptoFrame{0, bytes, tls::MessageType::kServerHello});
+  }
+
+  std::vector<Datagram> sent;
+
+ protected:
+  void HandleCrypto(PacketNumberSpace, const CryptoFrame&) override {}
+  void HandleStream(const StreamFrame&) override {}
+};
+
+/// A client Initial datagram holding one ack-eliciting PING packet.
+Datagram ClientPing(std::uint64_t pn, std::uint32_t padding) {
+  Packet packet;
+  packet.space = PacketNumberSpace::kInitial;
+  packet.packet_number = pn;
+  packet.frames = {PingFrame{}, PaddingFrame{padding}};
+  packet.wire_size = packet.WireSize();
+  Datagram datagram;
+  datagram.packets.push_back(std::move(packet));
+  return datagram;
+}
+
+TEST(ConnectionInternals, KnownFidelityBugBlockedFlushParksBuiltAckInPending) {
+  // KNOWN FIDELITY BUG, asserted as it behaves today (fixing it changes
+  // exports). When Flush finds a built datagram amplification- or
+  // congestion-blocked, it puts *every* frame back into the space's pending
+  // queue — including the ACK that BuildAck already took from the
+  // AckManager. The AckManager then no longer owes that ACK (no immediate
+  // ACK, no ACK timer), and the parked frame leaves later as ordinary
+  // pending data: here a stale ACK rides behind a fresh one in one packet.
+  sim::EventQueue queue;
+  BareServer server(queue);
+  server.QueueInitialCrypto(1000);
+
+  // ~55 B received: a 165 B budget cannot carry ACK + 1000 B of CRYPTO.
+  server.OnDatagramReceived(ClientPing(0, 10));
+  EXPECT_TRUE(server.sent.empty());
+  EXPECT_EQ(server.metrics().amp_blocked_events, 1);
+
+  // A full-size datagram lifts the budget; the next flush sends a fresh
+  // ACK (pns 0-1), then the parked stale ACK (pn 0), then the CRYPTO data.
+  server.OnDatagramReceived(ClientPing(1, 1150));
+  ASSERT_EQ(server.sent.size(), 1u);
+  ASSERT_EQ(server.sent[0].packets.size(), 1u);
+  const std::vector<Frame>& frames = server.sent[0].packets[0].frames;
+  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_TRUE(std::holds_alternative<AckFrame>(frames[0]));
+  EXPECT_EQ(std::get<AckFrame>(frames[0]).largest_acked, 1u);
+  ASSERT_TRUE(std::holds_alternative<AckFrame>(frames[1]));
+  EXPECT_EQ(std::get<AckFrame>(frames[1]).largest_acked, 0u);
+  EXPECT_TRUE(std::holds_alternative<CryptoFrame>(frames[2]));
+}
+
 }  // namespace
 }  // namespace quicer::quic

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 namespace quicer::quic {
 namespace {
 
@@ -14,16 +17,13 @@ Packet MakePacket(PacketNumberSpace space, std::vector<Frame> frames) {
 }
 
 TEST(Packet, LongHeadersLargerThanShort) {
-  const Packet initial = MakePacket(PacketNumberSpace::kInitial, {PingFrame{}});
-  const Packet handshake = MakePacket(PacketNumberSpace::kHandshake, {PingFrame{}});
-  const Packet app = MakePacket(PacketNumberSpace::kAppData, {PingFrame{}});
-  EXPECT_GT(initial.HeaderSize(), app.HeaderSize());
-  EXPECT_GT(handshake.HeaderSize(), app.HeaderSize());
+  EXPECT_GT(HeaderSize(PacketNumberSpace::kInitial), HeaderSize(PacketNumberSpace::kAppData));
+  EXPECT_GT(HeaderSize(PacketNumberSpace::kHandshake), HeaderSize(PacketNumberSpace::kAppData));
 }
 
 TEST(Packet, WireSizeIncludesAeadTag) {
   const Packet packet = MakePacket(PacketNumberSpace::kAppData, {PingFrame{}});
-  EXPECT_EQ(packet.WireSize(), packet.HeaderSize() + 1 + kAeadTagSize);
+  EXPECT_EQ(packet.WireSize(), HeaderSize(packet.space) + 1 + kAeadTagSize);
 }
 
 TEST(Packet, AckElicitingFollowsFrames) {
@@ -32,11 +32,14 @@ TEST(Packet, AckElicitingFollowsFrames) {
       MakePacket(PacketNumberSpace::kInitial, {AckFrame{}, PingFrame{}}).IsAckEliciting());
 }
 
-TEST(Packet, RetransmittableFramesFiltersAcksAndPadding) {
+TEST(Packet, IsRetransmittableFiltersAcksAndPadding) {
+  // The sender's filter when it parks a packet's frames for retransmission.
   const Packet packet = MakePacket(
       PacketNumberSpace::kHandshake,
       {AckFrame{}, CryptoFrame{0, 50, tls::MessageType::kFinished}, PaddingFrame{100}});
-  const auto frames = packet.RetransmittableFrames();
+  std::vector<Frame> frames;
+  std::copy_if(packet.frames.begin(), packet.frames.end(), std::back_inserter(frames),
+               IsRetransmittable);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_TRUE(std::holds_alternative<CryptoFrame>(frames[0]));
 }
