@@ -22,6 +22,7 @@
 #include "recovery/rtt_estimator.h"
 #include "recovery/sent_packets.h"
 #include "scan/frontend_cache.h"
+#include "sim/arena.h"
 #include "sim/event_queue.h"
 
 namespace {
@@ -46,8 +47,9 @@ BENCHMARK(BM_FullHandshake10KB)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_AckHeavyTransfer(benchmark::State& state) {
   // A 1 MB download generates hundreds of ACK round trips plus MAX_DATA
-  // updates — the ledger/ack-manager steady state the arena and pools exist
-  // for (the handshake benches above barely touch it).
+  // updates — the ledger/ack-manager steady state and about a thousand
+  // datagrams placed on the run arena (the handshake benches above barely
+  // touch it).
   std::uint64_t seed = 1;
   for (auto _ : state) {
     core::ExperimentConfig config;
@@ -85,12 +87,20 @@ void BM_PtoComputation(benchmark::State& state) {
 BENCHMARK(BM_PtoComputation);
 
 void BM_AckManagerReceiveAndBuild(benchmark::State& state) {
+  // Built ACKs place their ranges on the arena, which a run resets between
+  // repetitions; here it is reset every kResetEvery packets so the bench
+  // measures placement into warm chunks, not unbounded growth.
+  constexpr std::uint64_t kResetEvery = 4096;
   quic::AckManager manager(quic::PacketNumberSpace::kAppData, quic::AckPolicy{});
+  sim::Arena arena;
   std::uint64_t pn = 0;
   for (auto _ : state) {
     manager.OnPacketReceived(pn, true, static_cast<sim::Time>(pn));
     ++pn;
-    if (pn % 2 == 0) benchmark::DoNotOptimize(manager.BuildAck(static_cast<sim::Time>(pn)));
+    if (pn % 2 == 0) {
+      benchmark::DoNotOptimize(manager.BuildAck(static_cast<sim::Time>(pn), arena));
+    }
+    if (pn % kResetEvery == 0) arena.Reset();
   }
 }
 BENCHMARK(BM_AckManagerReceiveAndBuild);
@@ -114,15 +124,16 @@ void BM_SentPacketLedgerAck(benchmark::State& state) {
     ledger.OnPacketSent(packet);
   };
   for (std::uint64_t i = 0; i < in_flight; ++i) send();
+  quic::PnRange range;
   quic::AckFrame ack;
-  ack.ranges.resize(1);
+  ack.ranges = {&range, 1};
   std::uint64_t oldest = 0;
   for (auto _ : state) {
     now += 10;
     send();
     send();
     ack.largest_acked = oldest + 1;
-    ack.ranges[0] = quic::PnRange{oldest, oldest + 1};
+    range = quic::PnRange{oldest, oldest + 1};
     ledger.OnAckReceivedInto(ack, now, result);
     oldest += 2;
     benchmark::DoNotOptimize(result.newly_acked.data());

@@ -161,7 +161,7 @@ int Usage(const char* argv0) {
       "  --rep-range=A:B  execute only repetitions [A, B) of the selected\n"
       "                points (B omitted or 0 = to the end); windows of one\n"
       "                point merge back bit-identically\n"
-      "  --telemetry=F  enable runtime counters (event queue, pools, netem\n"
+      "  --telemetry=F  enable runtime counters (event queue, arena, netem\n"
       "                drops, recovery, phase timers) and write the per-sweep\n"
       "                telemetry report to F; counting never perturbs the\n"
       "                simulated runs, so exports stay byte-identical\n"

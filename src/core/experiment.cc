@@ -3,6 +3,8 @@
 #include <memory>
 #include <utility>
 
+#include "obs/telemetry.h"
+
 namespace quicer::core {
 namespace {
 
@@ -76,8 +78,12 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
   // their handles) before the old endpoints are replaced below, so no stale
   // callback can outlive the objects it captured.
   queue_.Reset();
-  // The arena only ever holds trivially-destructible per-run scratch (ledger
-  // frame spans); rewinding it wholesale is the whole teardown.
+  // The arena holds every wire object of the previous run — packet and frame
+  // lists, ACK ranges, ledger frame spans — all trivially destructible, and
+  // the queue reset above dropped the last closures viewing them: rewinding
+  // it wholesale is the whole teardown. The endpoint resets below clear the
+  // remaining views (pending frames, the undecryptable stash) before any
+  // can be read.
   arena_.Reset();
   sim::EventQueue& queue = queue_;
   sim::Rng rng(config.seed);
@@ -167,6 +173,7 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
   }
 
   if (inspect) inspect(*client, *server);
+  obs::CountMax(obs::kArenaBytesHighWater, arena_.BytesUsed());
 
   ExperimentResult result;
   result.client = client->metrics();

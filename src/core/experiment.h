@@ -119,7 +119,8 @@ struct ExperimentResult {
 };
 
 /// Reusable run context: owns the event queue, arena, link and both
-/// endpoints and replays them across runs. Run() resets the queue (retaining
+/// endpoints and replays them across runs. Every wire object a run sends
+/// lives on the arena (see sim/arena.h). Run() resets the queue (retaining
 /// its slot and heap capacity), rewinds the arena, and resets the
 /// link/endpoints in place — every container keeps its capacity — so after a
 /// warm-up run, repeated runs (sweep repetitions, thread-pool workers)
@@ -143,7 +144,7 @@ class RunContext {
 
  private:
   sim::EventQueue queue_;  // declared first: destroyed last, after its users
-  sim::Arena arena_;       // per-run scratch; reset wholesale between runs
+  sim::Arena arena_;       // every wire object of a run; reset wholesale between runs
   std::optional<sim::Link> link_;
   std::optional<quic::ClientConnection> client_;
   std::optional<quic::ServerConnection> server_;

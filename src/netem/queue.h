@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "netem/model.h"
 #include "sim/time.h"
@@ -32,10 +32,11 @@ class BottleneckQueue {
   explicit BottleneckQueue(const QueueModel& model) : model_(model) {}
 
   /// Re-arms the queue for a new run: new model, emptied, stats cleared.
-  /// Unlike reassignment, this keeps the deque's allocated blocks.
+  /// Unlike reassignment, this keeps the FIFO's capacity.
   void Reset(const QueueModel& model) {
     model_ = model;
     in_flight_.clear();
+    head_ = 0;
     queued_bytes_ = 0;
     last_departure_ = 0;
     stats_ = Stats{};
@@ -52,7 +53,7 @@ class BottleneckQueue {
 
   /// Datagrams currently queued or serializing (departure > last Enqueue's
   /// `now`).
-  std::size_t occupancy_pkts() const { return in_flight_.size(); }
+  std::size_t occupancy_pkts() const { return in_flight_.size() - head_; }
   std::size_t occupancy_bytes() const { return queued_bytes_; }
 
   const Stats& stats() const { return stats_; }
@@ -60,7 +61,11 @@ class BottleneckQueue {
  private:
   QueueModel model_;
   /// (departure time, wire bytes) of admitted datagrams, departure order.
-  std::deque<std::pair<sim::Time, std::size_t>> in_flight_;
+  /// The live entries are the suffix [head_, end): departures advance head_,
+  /// and the dead prefix is dropped once it outgrows the live part, so the
+  /// buffer's capacity is reused instead of freed and reallocated.
+  std::vector<std::pair<sim::Time, std::size_t>> in_flight_;
+  std::size_t head_ = 0;
   std::size_t queued_bytes_ = 0;
   sim::Time last_departure_ = 0;
   Stats stats_;

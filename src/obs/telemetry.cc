@@ -8,10 +8,6 @@
 
 namespace quicer::obs {
 
-namespace detail {
-thread_local Registry* tls_registry = nullptr;
-}  // namespace detail
-
 namespace {
 
 constexpr std::array<CounterDesc, kCounterCount> kDescriptors = {{
@@ -22,16 +18,9 @@ constexpr std::array<CounterDesc, kCounterCount> kDescriptors = {{
     {"sim.events_overflow", MergeMode::kSum},
     {"quic.pool.frame_acquire", MergeMode::kSum},
     {"quic.pool.frame_hit", MergeMode::kSum},
-    {"quic.pool.frame_release", MergeMode::kSum},
-    {"quic.pool.frame_highwater", MergeMode::kMax},
     {"quic.pool.packet_acquire", MergeMode::kSum},
     {"quic.pool.packet_hit", MergeMode::kSum},
-    {"quic.pool.packet_release", MergeMode::kSum},
-    {"quic.pool.packet_highwater", MergeMode::kMax},
-    {"quic.pool.pnrange_acquire", MergeMode::kSum},
-    {"quic.pool.pnrange_hit", MergeMode::kSum},
-    {"quic.pool.pnrange_release", MergeMode::kSum},
-    {"quic.pool.pnrange_highwater", MergeMode::kMax},
+    {"quic.arena.bytes_highwater", MergeMode::kMax},
     {"netem.up.enqueued", MergeMode::kSum},
     {"netem.down.enqueued", MergeMode::kSum},
     {"netem.up.drop_pattern", MergeMode::kSum},

@@ -1,10 +1,10 @@
 // Cross-layer runtime telemetry: a static registry of named counters.
 //
-// The engine's hot layers (event queue, packet pools, netem queues, loss
-// recovery, the sweep pipeline) bump process-wide counters through this
-// registry so a run can report *why* it was fast or slow — events executed,
-// pool hit rates, queue drops by cause, PTO fires, per-phase wall time —
-// without perturbing the run itself.
+// The engine's hot layers (event queue, the run arena's wire objects, netem
+// queues, loss recovery, the sweep pipeline) bump process-wide counters
+// through this registry so a run can report *why* it was fast or slow —
+// events executed, arena placements, queue drops by cause, PTO fires,
+// per-phase wall time — without perturbing the run itself.
 //
 // Overhead contract:
 //  * Disabled (the default), every instrumentation site is a single branch
@@ -44,20 +44,17 @@ enum Counter : std::size_t {
   kEventsRun,            // callbacks executed
   kEventsWheel,          // entries stored in a wheel bucket (or the ready run)
   kEventsOverflow,       // entries spilled to the overflow heap
-  // quic::pool — per pooled container kind: acquires, acquires served from
-  // the free list (hits), releases, and the free list's high-water depth.
+  // Wire objects on the run arena (sim::Arena). The quic.pool.* names
+  // predate the arena and are kept so reports stay comparable: an "acquire"
+  // is one frame list (Connection::BuildPacket) or packet list
+  // (Connection::SendDatagramNow) placed on the arena, a "hit" one served
+  // from chunks the arena already held.
   kPoolFrameAcquire,
   kPoolFrameHit,
-  kPoolFrameRelease,
-  kPoolFrameHighWater,
   kPoolPacketAcquire,
   kPoolPacketHit,
-  kPoolPacketRelease,
-  kPoolPacketHighWater,
-  kPoolPnRangeAcquire,
-  kPoolPnRangeHit,
-  kPoolPnRangeRelease,
-  kPoolPnRangeHighWater,
+  // Largest arena footprint of one run (sim::Arena::BytesUsed at run end).
+  kArenaBytesHighWater,
   // netem / link, per direction (Up = client->server). kNetemEnqueued counts
   // datagrams offered to the line (busy clock or FIFO) after loss models.
   kNetemEnqueuedUp,
@@ -122,8 +119,13 @@ struct Registry {
 
 namespace detail {
 // The single-branch disabled path: trivially (zero-) initialised so access
-// compiles to a raw TLS load — no per-access init guard.
-extern thread_local Registry* tls_registry;
+// compiles to a raw TLS load — no per-access init guard. That takes an
+// inline variable with its initialiser in view: other translation units
+// reach an extern thread_local through a TLS wrapper (an init-function
+// check, then the address), whose UBSan null check can read stale flags
+// once the linker relaxes the TLS access (false "load of null pointer"
+// reports with GCC 12 and binutils 2.40).
+inline thread_local Registry* tls_registry = nullptr;
 }  // namespace detail
 
 /// True after EnableProcess(); checked by coarse-grained code (the sweep

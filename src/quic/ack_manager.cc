@@ -1,8 +1,7 @@
 #include "quic/ack_manager.h"
 
 #include <algorithm>
-
-#include "quic/pool.h"
+#include <new>
 
 namespace quicer::quic {
 
@@ -58,12 +57,9 @@ sim::Time AckManager::AckDeadline() const {
   return largest_ack_eliciting_time_ + policy_.max_ack_delay;
 }
 
-std::optional<AckFrame> AckManager::BuildAck(sim::Time now) {
+std::optional<AckFrame> AckManager::BuildAck(sim::Time now, sim::Arena& arena) {
   if (received_.empty()) return std::nullopt;
   AckFrame ack;
-  // Pooled range buffer: the frame pool salvages it back when the ACK frame
-  // is recycled, so steady-state ACK emission allocates nothing.
-  ack.ranges = AcquirePnRangeVec();
   ack.largest_acked = *largest_received_;
   switch (policy_.report_mode) {
     case AckDelayReportMode::kActual:
@@ -77,7 +73,12 @@ std::optional<AckFrame> AckManager::BuildAck(sim::Time now) {
       break;
   }
   // ACK ranges are listed from the largest downwards.
-  ack.ranges.assign(received_.rbegin(), received_.rend());
+  PnRange* ranges = arena.AllocateUninitialized<PnRange>(received_.size());
+  PnRange* out = ranges;
+  for (auto it = received_.rbegin(); it != received_.rend(); ++it) {
+    ::new (static_cast<void*>(out++)) PnRange(*it);
+  }
+  ack.ranges = {ranges, received_.size()};
   pending_ack_eliciting_ = 0;
   return ack;
 }

@@ -13,6 +13,7 @@
 
 #include "quic/frame.h"
 #include "quic/types.h"
+#include "sim/arena.h"
 #include "sim/time.h"
 
 namespace quicer::quic {
@@ -58,8 +59,9 @@ class AckManager {
   sim::Time AckDeadline() const;
 
   /// Builds an ACK covering everything received; clears the pending state.
-  /// Returns nullopt if nothing has been received yet.
-  std::optional<AckFrame> BuildAck(sim::Time now);
+  /// The ACK's ranges are written into `arena` and stay valid until it
+  /// resets. Returns nullopt if nothing has been received yet.
+  std::optional<AckFrame> BuildAck(sim::Time now, sim::Arena& arena);
 
   /// Largest packet number received so far (nullopt if none).
   std::optional<std::uint64_t> largest_received() const { return largest_received_; }

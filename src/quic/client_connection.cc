@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "quic/pool.h"
-
 namespace quicer::quic {
 namespace {
 constexpr std::size_t kCryptoChunk = 1000;
@@ -45,8 +43,7 @@ void ClientConnection::Start() {
   SendClientHello();
 }
 
-std::vector<Frame> ClientConnection::BuildEarlyDataFrames() {
-  std::vector<Frame> frames = AcquireFrameVec();
+void ClientConnection::AppendEarlyDataFrames(std::vector<Frame>& frames) {
   if (config().http_version == http::Version::kHttp3) {
     StreamFrame settings;
     settings.stream_id = http::kClientControlStreamId;
@@ -58,29 +55,31 @@ std::vector<Frame> ClientConnection::BuildEarlyDataFrames() {
   request.length = static_cast<std::uint32_t>(http::RequestBytes(config().http_version));
   request.fin = true;
   frames.push_back(request);
-  return frames;
 }
 
 void ClientConnection::SendClientHello() {
   client_hello_sent_time_ = queue().now();
-  std::vector<Frame> frames = MakeCryptoFrames(PacketNumberSpace::kInitial,
-                                               tls::MessageType::kClientHello,
-                                               config().tls.client_hello, kCryptoChunk);
-  RememberCryptoFlight(PacketNumberSpace::kInitial, frames);
-  Packet initial = BuildPacket(PacketNumberSpace::kInitial, std::move(frames));
+  Packet initial = BuildPacket(
+      PacketNumberSpace::kInitial,
+      MakeCryptoFlight(PacketNumberSpace::kInitial, tls::MessageType::kClientHello,
+                       config().tls.client_hello, kCryptoChunk));
   initial.token = retry_token_;
   if (initial.token != 0) initial.wire_size = initial.WireSize();  // token adds bytes
 
-  std::vector<Packet> packets = AcquirePacketVec();
-  packets.push_back(std::move(initial));
+  std::vector<Packet>& packets = packet_scratch();
+  packets.clear();
+  packets.push_back(initial);
   if (client_config_.enable_0rtt && !early_data_sent_) {
     // 0-RTT: the request rides in the first flight, protected with the
     // resumed session's early keys.
     early_data_sent_ = true;
     InstallOneRttSendKeys();
-    packets.push_back(BuildPacket(PacketNumberSpace::kAppData, BuildEarlyDataFrames()));
+    std::vector<Frame>& frames = frame_scratch();
+    frames.clear();
+    AppendEarlyDataFrames(frames);
+    packets.push_back(BuildPacket(PacketNumberSpace::kAppData, frames));
   }
-  SendDatagramNow(std::move(packets), kMinInitialDatagramSize);
+  SendDatagramNow(packets, kMinInitialDatagramSize);
 }
 
 void ClientConnection::HandleRetry(const RetryFrame& frame) {
@@ -129,77 +128,70 @@ void ClientConnection::AfterDatagramProcessed() {
 void ClientConnection::SendSecondFlight() {
   flight2_sent_ = true;
 
+  // Both flight packets are built up front (each BuildPacket copies its
+  // frames into the run arena, freeing the scratch buffer for the next);
+  // packet numbers are per space, so building before the Initial ACK below
+  // assigns the same numbers as building in datagram order.
+  std::vector<Frame>& frames = frame_scratch();
+
   // Handshake packet: client Finished (+ pending Handshake ACK).
-  std::vector<Frame> hs_frames = AcquireFrameVec();
-  if (auto ack = PopAck(PacketNumberSpace::kHandshake)) hs_frames.push_back(std::move(*ack));
-  std::vector<Frame> fin = MakeCryptoFrames(PacketNumberSpace::kHandshake,
-                                            tls::MessageType::kFinished,
-                                            config().tls.finished, kCryptoChunk);
-  RememberCryptoFlight(PacketNumberSpace::kHandshake, fin);
-  for (Frame& frame : fin) hs_frames.push_back(std::move(frame));
-  ReleaseFrameVec(std::move(fin));
+  frames.clear();
+  if (auto ack = PopAck(PacketNumberSpace::kHandshake)) frames.push_back(*ack);
+  const std::vector<Frame>& fin =
+      MakeCryptoFlight(PacketNumberSpace::kHandshake, tls::MessageType::kFinished,
+                       config().tls.finished, kCryptoChunk);
+  frames.insert(frames.end(), fin.begin(), fin.end());
+  const Packet handshake = BuildPacket(PacketNumberSpace::kHandshake, frames);
 
   // 1-RTT packet: HTTP request (+ HTTP/3 client control stream SETTINGS),
   // coalesced with any queued 1-RTT replies (e.g. RETIRE_CONNECTION_ID for
   // the NEW_CONNECTION_ID in the server flight) — real stacks bundle these
   // into the same flight rather than emitting an extra datagram.
-  std::vector<Frame> app_frames = AcquireFrameVec();
+  frames.clear();
   auto& app_pending = space(PacketNumberSpace::kAppData).pending;
-  for (Frame& frame : app_pending) app_frames.push_back(std::move(frame));
+  frames.insert(frames.end(), app_pending.begin(), app_pending.end());
   app_pending.clear();
   if (!early_data_sent_) {
     // 1-RTT handshake: the request goes out now. (In 0-RTT it already rode
     // with the ClientHello.)
-    std::vector<Frame> early = BuildEarlyDataFrames();
-    for (Frame& frame : early) app_frames.push_back(std::move(frame));
-    ReleaseFrameVec(std::move(early));
-  } else if (app_frames.empty()) {
+    AppendEarlyDataFrames(frames);
+  } else if (frames.empty()) {
     // Keep the flight shape: an ACK-bearing 1-RTT packet still closes the
     // exchange.
-    if (auto app_ack = PopAck(PacketNumberSpace::kAppData)) {
-      app_frames.push_back(std::move(*app_ack));
-    }
-    if (app_frames.empty()) app_frames.push_back(PingFrame{});
+    if (auto app_ack = PopAck(PacketNumberSpace::kAppData)) frames.push_back(*app_ack);
+    if (frames.empty()) frames.push_back(PingFrame{});
   }
+  const Packet app = BuildPacket(PacketNumberSpace::kAppData, frames);
 
   // Leftover Initial ACK (quiche defers it to coalesce here; for others it
   // usually went out as its own datagram already).
-  std::optional<AckFrame> initial_ack = PopAck(PacketNumberSpace::kInitial);
+  std::optional<Frame> initial_ack;
+  if (auto ack = PopAck(PacketNumberSpace::kInitial)) initial_ack = Frame{*ack};
 
   const int split = config().second_flight_datagrams;
+  std::vector<Packet>& packets = packet_scratch();
+  packets.clear();
   if (split <= 1) {
     // quiche: everything in one datagram.
-    std::vector<Packet> packets = AcquirePacketVec();
     if (initial_ack) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*initial_ack));
-      packets.push_back(BuildPacket(PacketNumberSpace::kInitial, std::move(frames)));
+      packets.push_back(BuildPacket(PacketNumberSpace::kInitial, {&*initial_ack, 1}));
     }
-    packets.push_back(BuildPacket(PacketNumberSpace::kHandshake, std::move(hs_frames)));
-    packets.push_back(BuildPacket(PacketNumberSpace::kAppData, std::move(app_frames)));
-    SendDatagramNow(std::move(packets));
+    packets.push_back(handshake);
+    packets.push_back(app);
+    SendDatagramNow(packets);
   } else if (split == 2) {
     // neqo: Handshake and 1-RTT coalesce.
-    if (initial_ack) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*initial_ack));
-      SendPacketNow(PacketNumberSpace::kInitial, std::move(frames));
-    }
-    std::vector<Packet> packets = AcquirePacketVec();
-    packets.push_back(BuildPacket(PacketNumberSpace::kHandshake, std::move(hs_frames)));
-    packets.push_back(BuildPacket(PacketNumberSpace::kAppData, std::move(app_frames)));
-    SendDatagramNow(std::move(packets));
+    if (initial_ack) SendPacketNow(PacketNumberSpace::kInitial, {&*initial_ack, 1});
+    packets.push_back(handshake);
+    packets.push_back(app);
+    SendDatagramNow(packets);
   } else {
     // Default (3) and picoquic (4): one datagram per space; picoquic's
     // extra datagram is its uncoalesced Handshake ACK, which the base class
     // already emitted separately (coalesce_acks = false).
-    if (initial_ack) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*initial_ack));
-      SendPacketNow(PacketNumberSpace::kInitial, std::move(frames));
-    }
-    SendPacketNow(PacketNumberSpace::kHandshake, std::move(hs_frames));
-    SendPacketNow(PacketNumberSpace::kAppData, std::move(app_frames));
+    if (initial_ack) SendPacketNow(PacketNumberSpace::kInitial, {&*initial_ack, 1});
+    SendDatagramNow({&handshake, 1});
+    SendDatagramNow({&app, 1});
   }
 
   // Sending the Finished completes the handshake from the client's TLS

@@ -56,7 +56,8 @@ class ClientConnection : public Connection {
  private:
   void SendClientHello();
   void SendSecondFlight();
-  std::vector<Frame> BuildEarlyDataFrames();
+  /// Appends the request (+ HTTP/3 control-stream SETTINGS) frames.
+  void AppendEarlyDataFrames(std::vector<Frame>& frames);
   void ExpectServerMessages();
 
   ClientConfig client_config_;

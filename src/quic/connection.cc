@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/telemetry.h"
-#include "quic/pool.h"
 
 namespace quicer::quic {
 namespace {
@@ -51,6 +50,19 @@ bool EraseSortedPn(std::vector<SpacePn>& pns, SpacePn key) {
   return true;
 }
 
+/// Copies a packet's frame list or a datagram's packet list into the run
+/// arena. Counted under the quic.pool.* telemetry names: `acquire` per
+/// placement, `hit` when the arena served it from chunks it already held.
+template <typename T>
+sim::Span<T> Place(sim::Arena& arena, sim::Span<const T> items, obs::Counter acquire,
+                   obs::Counter hit) {
+  const std::size_t chunks = arena.chunk_count();
+  const sim::Span<T> placed = arena.Copy(items.data, items.size());
+  obs::Count(acquire);
+  if (arena.chunk_count() == chunks) obs::Count(hit);
+  return placed;
+}
+
 }  // namespace
 
 Connection::Connection(sim::EventQueue& queue, Perspective perspective, ConnectionConfig config,
@@ -74,17 +86,10 @@ Connection::Connection(sim::EventQueue& queue, Perspective perspective, Connecti
       peer_max_data_(kInitialMaxData) {
   metrics_.start_time = queue_.now();
   flow_granted_ = kInitialMaxData;
-  // Pending-frame queues start with pooled capacity so the first QueueFrame
-  // calls of every run reuse a previous run's storage.
-  for (SpaceState& state : spaces_) state.pending = AcquireFrameVec();
   if (config_.idle_timeout > 0) idle_timer_.SetDeadline(queue_.now() + config_.idle_timeout);
 }
 
-Connection::~Connection() {
-  for (SpaceState& state : spaces_) ReleaseFrameVec(std::move(state.pending));
-  for (std::vector<Frame>& flight : last_crypto_sent_) ReleaseFrameVec(std::move(flight));
-  ReleasePacketVec(std::move(pending_undecryptable_));
-}
+Connection::~Connection() = default;
 
 void Connection::ResetForRun(const ConnectionConfig& config, sim::Rng rng) {
   config_ = config;
@@ -148,34 +153,30 @@ void Connection::ResetForRun(const ConnectionConfig& config, sim::Rng rng) {
   if (config_.idle_timeout > 0) idle_timer_.SetDeadline(queue_.now() + config_.idle_timeout);
 }
 
-Packet Connection::BuildPacket(PacketNumberSpace s, std::vector<Frame> frames) {
+Packet Connection::BuildPacket(PacketNumberSpace s, sim::Span<const Frame> frames) {
   Packet packet;
   packet.space = s;
   packet.packet_number = space(s).next_pn++;
-  packet.frames = std::move(frames);
+  packet.frames = Place(*arena_, frames, obs::kPoolFrameAcquire, obs::kPoolFrameHit);
   packet.wire_size = packet.WireSize();
   return packet;
 }
 
-bool Connection::SendDatagramNow(std::vector<Packet> packets, std::size_t pad_to) {
-  if (closed_ || packets.empty()) {
-    ReleasePacketVec(std::move(packets));
-    return false;
-  }
+bool Connection::SendDatagramNow(sim::Span<const Packet> packets, std::size_t pad_to) {
+  if (closed_ || packets.empty()) return false;
   Datagram datagram;
-  datagram.packets = std::move(packets);
-  if (pad_to > 0) PadDatagramTo(datagram, pad_to);
+  datagram.packets = Place(*arena_, packets, obs::kPoolPacketAcquire, obs::kPoolPacketHit);
+  if (pad_to > 0) PadDatagramTo(datagram, pad_to, *arena_);
   const std::size_t size = datagram.WireSize();
 
   if (!amp_.CanSend(size)) {
     amp_.NoteBlocked(queue_.now());
     ++metrics_.amp_blocked_events;
     // Return the unused packet numbers: nothing hit the wire.
-    for (auto it = datagram.packets.rbegin(); it != datagram.packets.rend(); ++it) {
-      SpaceState& state = space(it->space);
-      if (state.next_pn == it->packet_number + 1) --state.next_pn;
+    for (std::size_t i = datagram.packets.size(); i-- > 0;) {
+      SpaceState& state = space(datagram.packets[i].space);
+      if (state.next_pn == datagram.packets[i].packet_number + 1) --state.next_pn;
     }
-    ReleaseDatagram(std::move(datagram));
     return false;
   }
   amp_.OnBytesSent(size);
@@ -198,9 +199,7 @@ bool Connection::SendDatagramNow(std::vector<Packet> packets, std::size_t pad_to
       sent.in_flight = in_flight;
       // Park the retransmittable frames in the run arena: one bump per
       // packet, dropped wholesale on ack/loss, reclaimed at repetition
-      // reset. Only trivially-destructible alternatives pass the
-      // IsRetransmittable filter, so never running their destructors is
-      // sound (see sim/arena.h).
+      // reset.
       std::uint32_t retrans_count = 0;
       for (const Frame& frame : packet.frames) {
         if (IsRetransmittable(frame)) ++retrans_count;
@@ -220,26 +219,20 @@ bool Connection::SendDatagramNow(std::vector<Packet> packets, std::size_t pad_to
 
   ++metrics_.datagrams_sent;
   metrics_.wire_bytes_sent += size;
-  if (send_) {
-    send_(std::move(datagram));
-  } else {
-    ReleaseDatagram(std::move(datagram));
-  }
+  if (send_) send_(std::move(datagram));
   if (any_ack_eliciting) SetLossDetectionTimer();
   return true;
 }
 
-bool Connection::SendPacketNow(PacketNumberSpace s, std::vector<Frame> frames,
+bool Connection::SendPacketNow(PacketNumberSpace s, sim::Span<const Frame> frames,
                                std::size_t pad_to) {
-  std::vector<Packet> packets = AcquirePacketVec();
-  packets.push_back(BuildPacket(s, std::move(frames)));
-  return SendDatagramNow(std::move(packets), pad_to);
+  const Packet packet = BuildPacket(s, frames);
+  return SendDatagramNow({&packet, 1}, pad_to);
 }
 
 void Connection::MaybeSendAcks() {
   if (closed_) return;
-  // Cheap precheck: most calls find nothing due and should not pay the
-  // pooled-vector round trip below.
+  // Cheap precheck: most calls find nothing due.
   bool any_due = false;
   for (const auto& state : spaces_) {
     if (!state.discarded && state.acks.ShouldAckImmediately()) {
@@ -248,7 +241,8 @@ void Connection::MaybeSendAcks() {
     }
   }
   if (!any_due) return;
-  std::vector<Packet> due = AcquirePacketVec();
+  std::vector<Packet>& due = packet_scratch_;
+  due.clear();
   for (auto& state : spaces_) {
     if (state.discarded || !state.acks.ShouldAckImmediately()) continue;
     if (SuppressImmediateAck(state.acks.space())) continue;
@@ -258,33 +252,24 @@ void Connection::MaybeSendAcks() {
         state.acks.space() != PacketNumberSpace::kAppData) {
       continue;
     }
-    if (auto ack = state.acks.BuildAck(queue_.now())) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*ack));
-      due.push_back(BuildPacket(state.acks.space(), std::move(frames)));
+    if (auto ack = state.acks.BuildAck(queue_.now(), *arena_)) {
+      const Frame frame{*ack};
+      due.push_back(BuildPacket(state.acks.space(), {&frame, 1}));
     }
   }
-  if (due.empty()) {
-    ReleasePacketVec(std::move(due));
-    return;
-  }
+  if (due.empty()) return;
 
   if (config_.coalesce_acks) {
-    SendDatagramNow(std::move(due));
+    SendDatagramNow(due);
   } else {
-    for (auto& packet : due) {
-      std::vector<Packet> single = AcquirePacketVec();
-      single.push_back(std::move(packet));
-      SendDatagramNow(std::move(single));
-    }
-    ReleasePacketVec(std::move(due));
+    for (const Packet& packet : due) SendDatagramNow({&packet, 1});
   }
 }
 
 std::optional<AckFrame> Connection::PopAck(PacketNumberSpace s) {
   SpaceState& state = space(s);
   if (state.discarded || !state.acks.HasPendingAck()) return std::nullopt;
-  return state.acks.BuildAck(queue_.now());
+  return state.acks.BuildAck(queue_.now(), *arena_);
 }
 
 void Connection::QueueFrame(PacketNumberSpace s, Frame frame) {
@@ -295,9 +280,12 @@ void Connection::QueueStreamData(std::uint64_t stream_id, std::uint64_t bytes, b
   out_streams_.push_back(OutStream{stream_id, bytes, 0, fin});
 }
 
-std::vector<Frame> Connection::MakeCryptoFrames(PacketNumberSpace s, tls::MessageType message,
-                                                std::size_t message_size, std::size_t max_chunk) {
-  std::vector<Frame> frames = AcquireFrameVec();
+const std::vector<Frame>& Connection::MakeCryptoFlight(PacketNumberSpace s,
+                                                      tls::MessageType message,
+                                                      std::size_t message_size,
+                                                      std::size_t max_chunk) {
+  std::vector<Frame>& frames = last_crypto_sent_[SpaceIndex(s)];
+  frames.clear();
   SpaceState& state = space(s);
   std::size_t remaining = message_size;
   while (remaining > 0) {
@@ -329,12 +317,6 @@ void Connection::QueueCryptoFrames(PacketNumberSpace s, tls::MessageType message
   }
 }
 
-void Connection::RememberCryptoFlight(PacketNumberSpace s, const std::vector<Frame>& frames) {
-  std::vector<Frame>& remembered = last_crypto_sent_[SpaceIndex(s)];
-  if (remembered.capacity() == 0) remembered = AcquireFrameVec();
-  remembered.assign(frames.begin(), frames.end());
-}
-
 bool Connection::HasQueuedData() const {
   for (const auto& state : spaces_) {
     if (!state.discarded && !state.pending.empty()) return true;
@@ -354,8 +336,10 @@ void Connection::Flush() {
     amp_.NoteUnblocked(queue_.now());
     return;
   }
+  std::vector<Packet>& packets = packet_scratch_;
+  std::vector<Frame>& frames = frame_scratch_;
   while (true) {
-    Datagram datagram = AcquireDatagram();
+    packets.clear();
     std::size_t used = 0;
     const std::size_t capacity = kMaxDatagramSize;
 
@@ -367,7 +351,7 @@ void Connection::Flush() {
       const std::size_t header_cost = HeaderSize(s) + kAeadTagSize;
       if (capacity - used <= header_cost + 8) break;
       std::size_t packet_budget = capacity - used - header_cost;
-      std::vector<Frame> frames = AcquireFrameVec();
+      frames.clear();
 
       const bool has_payload =
           !state.pending.empty() ||
@@ -377,12 +361,12 @@ void Connection::Flush() {
 
       // Opportunistically bundle a pending ACK with real payload.
       if (has_payload && state.acks.HasPendingAck()) {
-        if (auto ack = state.acks.BuildAck(queue_.now())) {
-          Frame ack_frame{std::move(*ack)};
+        if (auto ack = state.acks.BuildAck(queue_.now(), *arena_)) {
+          const Frame ack_frame{*ack};
           const std::size_t ack_size = quic::WireSize(ack_frame);
           if (ack_size <= packet_budget) {
             packet_budget -= ack_size;
-            frames.push_back(std::move(ack_frame));
+            frames.push_back(ack_frame);
           }
         }
       }
@@ -420,7 +404,7 @@ void Connection::Flush() {
           break;
         }
         packet_budget -= frame_size;
-        frames.push_back(std::move(front));
+        frames.push_back(front);
         state.pending.erase(state.pending.begin());
       }
 
@@ -448,43 +432,38 @@ void Connection::Flush() {
         }
       }
 
-      if (frames.empty()) {
-        ReleaseFrameVec(std::move(frames));
-        continue;
-      }
-      datagram.packets.push_back(BuildPacket(s, std::move(frames)));
+      if (frames.empty()) continue;
+      packets.push_back(BuildPacket(s, frames));
       // Datagram::WireSize is the sum of its packets' sizes; accumulate
       // incrementally instead of rewalking every packet's frame list.
-      used += datagram.packets.back().wire_size;
+      used += packets.back().wire_size;
     }
 
-    if (datagram.packets.empty()) {
-      ReleaseDatagram(std::move(datagram));
-      break;
-    }
+    if (packets.empty()) break;
 
     // Congestion + amplification checks at datagram granularity (PTO probes
     // bypass Flush and are therefore exempt from CC, per RFC 9002 §7.5).
     const std::size_t size = used;
-    const bool cc_blocked = datagram.IsAckEliciting() && !cc_.CanSend(size);
+    const bool ack_eliciting = std::any_of(packets.begin(), packets.end(),
+                                           [](const Packet& p) { return p.IsAckEliciting(); });
+    const bool cc_blocked = ack_eliciting && !cc_.CanSend(size);
     const bool amp_blocked = !amp_.CanSend(size);
     if (cc_blocked || amp_blocked) {
       if (amp_blocked) {
         amp_.NoteBlocked(queue_.now());
         ++metrics_.amp_blocked_events;
       }
-      // Put everything back for a later flush.
-      for (auto it = datagram.packets.rbegin(); it != datagram.packets.rend(); ++it) {
+      // Put everything back for a later flush. The frames are copied out of
+      // the arena; an ACK among them keeps its arena-placed ranges, which
+      // stay valid for the rest of the run.
+      for (auto it = packets.rbegin(); it != packets.rend(); ++it) {
         SpaceState& state = space(it->space);
         if (state.next_pn == it->packet_number + 1) --state.next_pn;
-        state.pending.insert(state.pending.begin(),
-                             std::make_move_iterator(it->frames.begin()),
-                             std::make_move_iterator(it->frames.end()));
+        state.pending.insert(state.pending.begin(), it->frames.begin(), it->frames.end());
       }
-      ReleaseDatagram(std::move(datagram));
       break;
     }
-    if (!SendDatagramNow(std::move(datagram.packets))) break;
+    if (!SendDatagramNow(packets)) break;
   }
 
   if (!amp_.validated() && HasQueuedData() && amp_.Budget() < kMaxDatagramSize) {
@@ -532,12 +511,14 @@ void Connection::SetHandshakeConfirmed() {
   }
 }
 
-void Connection::CloseConnection(std::string reason) {
+void Connection::CloseConnection(std::string_view reason) {
   if (closed_) return;
   closed_ = true;
   metrics_.aborted = true;
-  metrics_.abort_reason = std::move(reason);
-  trace_.RecordNote(queue_.now(), "connectivity", "closed: " + metrics_.abort_reason);
+  metrics_.abort_reason.assign(reason);
+  close_note_.assign("closed: ");
+  close_note_.append(reason);
+  trace_.RecordNote(queue_.now(), "connectivity", close_note_);
   qlog::StructEvent event;
   event.kind = qlog::StructEvent::Kind::kConnectionStateUpdated;
   event.detail = 2;  // closed
@@ -559,12 +540,8 @@ void Connection::OnDatagramReceived(Datagram datagram) {
   }
   if (delay <= 0) {
     ProcessDatagram(datagram);
-    ReleaseDatagram(std::move(datagram));
   } else {
-    queue_.Schedule(delay, [this, d = std::move(datagram)]() mutable {
-      ProcessDatagram(d);
-      ReleaseDatagram(std::move(d));
-    });
+    queue_.Schedule(delay, [this, datagram] { ProcessDatagram(datagram); });
   }
 }
 
@@ -585,7 +562,7 @@ bool Connection::ShouldDropByQuirk(const Datagram& datagram) {
   return false;
 }
 
-void Connection::ProcessDatagram(Datagram& datagram) {
+void Connection::ProcessDatagram(const Datagram& datagram) {
   if (closed_) return;
   ++metrics_.datagrams_received;
   const std::size_t wire_size = datagram.WireSize();
@@ -610,7 +587,7 @@ void Connection::ProcessDatagram(Datagram& datagram) {
     ~DeferGuard() { *flag = false; }
   } defer_guard{&defer_loss_timer_};
 
-  for (Packet& packet : datagram.packets) {
+  for (const Packet& packet : datagram.packets) {
     ProcessPacket(packet);
     if (closed_) return;
   }
@@ -634,25 +611,25 @@ void Connection::ProcessDatagram(Datagram& datagram) {
 void Connection::ReprocessUndecryptable() {
   if (pending_undecryptable_.empty()) return;
   if (!has_handshake_keys_ && !has_one_rtt_recv_keys_) return;
-  std::vector<Packet> retry = AcquirePacketVec();
+  std::vector<Packet>& retry = reprocess_scratch_;
   retry.swap(pending_undecryptable_);
-  for (Packet& packet : retry) {
+  for (const Packet& packet : retry) {
     ProcessPacket(packet);
     if (closed_) break;
   }
-  ReleasePacketVec(std::move(retry));
+  retry.clear();
 }
 
-void Connection::ProcessPacket(Packet& packet) {
+void Connection::ProcessPacket(const Packet& packet) {
   SpaceState& state = space(packet.space);
   if (state.discarded) return;
 
   if (packet.space == PacketNumberSpace::kHandshake && !has_handshake_keys_) {
-    pending_undecryptable_.push_back(std::move(packet));
+    pending_undecryptable_.push_back(packet);
     return;
   }
   if (packet.space == PacketNumberSpace::kAppData && !has_one_rtt_recv_keys_) {
-    pending_undecryptable_.push_back(std::move(packet));
+    pending_undecryptable_.push_back(packet);
     return;
   }
 
@@ -767,7 +744,7 @@ void Connection::ProcessAckFrame(PacketNumberSpace s, const AckFrame& ack) {
       largest_sent = std::max(largest_sent, packet.sent_time);
       RecordPacketLost(s, packet.packet_number, /*time_threshold=*/false);
       InsertSortedPn(probed_pns_, {s, packet.packet_number});
-      for (Frame& frame : packet.retransmittable) {
+      for (const Frame& frame : packet.retransmittable) {
         QueueFrame(s, frame);
         ++metrics_.retransmitted_frames;
       }
@@ -971,7 +948,7 @@ void Connection::HandleTimeThresholdLoss(SpaceState& state) {
     largest_sent = std::max(largest_sent, packet.sent_time);
     RecordPacketLost(state.acks.space(), packet.packet_number, /*time_threshold=*/true);
     InsertSortedPn(probed_pns_, {state.acks.space(), packet.packet_number});
-    for (Frame& frame : packet.retransmittable) {
+    for (const Frame& frame : packet.retransmittable) {
       QueueFrame(state.acks.space(), frame);
       ++metrics_.retransmitted_frames;
     }
@@ -1011,12 +988,9 @@ void Connection::OnAckTimerFired() {
   for (auto& state : spaces_) {
     if (state.discarded || !state.acks.HasPendingAck()) continue;
     if (SuppressImmediateAck(state.acks.space())) continue;
-    if (auto ack = state.acks.BuildAck(queue_.now())) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*ack));
-      std::vector<Packet> packets = AcquirePacketVec();
-      packets.push_back(BuildPacket(state.acks.space(), std::move(frames)));
-      SendDatagramNow(std::move(packets));
+    if (auto ack = state.acks.BuildAck(queue_.now(), *arena_)) {
+      const Frame frame{*ack};
+      SendPacketNow(state.acks.space(), {&frame, 1});
     }
   }
   ArmAckTimer();
@@ -1056,7 +1030,8 @@ void Connection::SendProbes(PacketNumberSpace s) {
   std::size_t cursor = 0;
   for (int i = 0; i < count; ++i) {
     // Group this datagram's frames by space, preserving space order.
-    std::array<std::vector<Frame>, kNumSpaces> by_space;
+    std::array<std::vector<Frame>, kNumSpaces>& by_space = probe_groups_;
+    for (std::vector<Frame>& group : by_space) group.clear();
     std::size_t budget = kMaxDatagramSize - 120;
     bool any_data = false;
     while (cursor < probe_frames_.size()) {
@@ -1064,14 +1039,13 @@ void Connection::SendProbes(PacketNumberSpace s) {
       const std::size_t size = quic::WireSize(*frame);
       if (size > budget) break;
       budget -= size;
-      std::vector<Frame>& group = by_space[SpaceIndex(frame_space)];
-      if (group.empty()) group = AcquireFrameVec();
-      group.push_back(*frame);
+      by_space[SpaceIndex(frame_space)].push_back(*frame);
       any_data = true;
       ++cursor;
     }
 
-    std::vector<Packet> packets = AcquirePacketVec();
+    std::vector<Packet>& packets = packet_scratch_;
+    packets.clear();
     bool ping_only = false;
     if (any_data) {
       for (int idx = 0; idx < kNumSpaces; ++idx) {
@@ -1081,20 +1055,17 @@ void Connection::SendProbes(PacketNumberSpace s) {
           InsertSortedPn(probed_pns_, {os, sent.packet_number});
         }
         metrics_.retransmitted_frames += static_cast<int>(by_space[idx].size());
-        packets.push_back(BuildPacket(os, std::move(by_space[idx])));
+        packets.push_back(BuildPacket(os, by_space[idx]));
       }
     } else if (config_.probe_with_data && !last_crypto_sent_[SpaceIndex(s)].empty()) {
       // §5 tuning: re-send the ClientHello (or last crypto flight) instead
       // of a PING so the server can recover state faster.
       const std::vector<Frame>& flight = last_crypto_sent_[SpaceIndex(s)];
       metrics_.retransmitted_frames += static_cast<int>(flight.size());
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.assign(flight.begin(), flight.end());
-      packets.push_back(BuildPacket(s, std::move(frames)));
+      packets.push_back(BuildPacket(s, flight));
     } else {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.emplace_back(PingFrame{});
-      packets.push_back(BuildPacket(s, std::move(frames)));
+      const Frame ping{PingFrame{}};
+      packets.push_back(BuildPacket(s, {&ping, 1}));
       ping_only = true;
     }
 
@@ -1106,7 +1077,7 @@ void Connection::SendProbes(PacketNumberSpace s) {
         (perspective_ == Perspective::kClient && probe_space == PacketNumberSpace::kInitial)
             ? kMinInitialDatagramSize
             : 0;
-    if (SendDatagramNow(std::move(packets), pad)) {
+    if (SendDatagramNow(packets, pad)) {
       ++metrics_.probe_datagrams_sent;
       if (ping_only) ping_only_pns_.emplace_back(probe_space, pn);
     } else {

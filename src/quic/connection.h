@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -157,8 +158,9 @@ class Connection {
  public:
   using SendFn = std::function<void(Datagram&&)>;
 
-  /// `arena` is the per-repetition bump arena the sent-packet ledger parks
-  /// retransmittable-frame spans in — normally the one owned by
+  /// `arena` is the per-repetition bump arena every wire object this
+  /// connection sends lives in — packet and frame lists, ACK ranges, and the
+  /// ledger's retransmittable-frame spans — normally the one owned by
   /// core::RunContext, reset wholesale between repetitions. Standalone
   /// constructions (tests, ad-hoc harnesses) may pass nullptr: the
   /// connection then owns a private arena with the same lifetime as itself.
@@ -242,24 +244,34 @@ class Connection {
   const InStream* FindInStream(std::uint64_t stream_id) const;
 
   /// Rewinds every member to its just-constructed state so the object can
-  /// run another repetition without reallocation: container capacities (and
-  /// pooled buffers) are retained, all protocol state re-derives from
-  /// (config, rng). Subclasses extend this with their own state and MUST
-  /// call the base version first.
+  /// run another repetition without reallocation: container capacities are
+  /// retained, all protocol state re-derives from (config, rng). The run
+  /// arena is rewound by its owner. Subclasses extend this with their own
+  /// state and MUST call the base version first.
   void ResetForRun(const ConnectionConfig& config, sim::Rng rng);
 
-  /// Builds a packet in `s`, assigning the next packet number.
-  Packet BuildPacket(PacketNumberSpace s, std::vector<Frame> frames);
+  /// Builds a packet in `s`, assigning the next packet number. The frames
+  /// are copied into the run arena; the caller's storage (usually a scratch
+  /// vector) is free for reuse on return.
+  Packet BuildPacket(PacketNumberSpace s, sim::Span<const Frame> frames);
 
-  /// Records and transmits one datagram; pads to `pad_to` if non-zero.
-  /// Returns false if the amplification limit blocked the send (packet
-  /// numbers are returned; the caller keeps its data).
-  bool SendDatagramNow(std::vector<Packet> packets, std::size_t pad_to = 0);
+  /// Records and transmits one datagram of `packets` (copied into the run
+  /// arena); pads to `pad_to` if non-zero. Returns false if the
+  /// amplification limit blocked the send (packet numbers are returned; the
+  /// caller keeps its data).
+  bool SendDatagramNow(sim::Span<const Packet> packets, std::size_t pad_to = 0);
 
   /// Builds a packet in `s` around `frames` and transmits it as its own
-  /// datagram (pooled packet vector; same return contract as
-  /// SendDatagramNow).
-  bool SendPacketNow(PacketNumberSpace s, std::vector<Frame> frames, std::size_t pad_to = 0);
+  /// datagram (same return contract as SendDatagramNow).
+  bool SendPacketNow(PacketNumberSpace s, sim::Span<const Frame> frames, std::size_t pad_to = 0);
+
+  /// Reusable build buffers for subclasses' flights: fill, hand to
+  /// BuildPacket / SendDatagramNow (which copy into the arena), reuse.
+  /// Capacity survives ResetForRun. Connection's own builders (Flush, ACK
+  /// and probe emission) use them too, so a subclass must not hold one
+  /// across a call into those.
+  std::vector<Frame>& frame_scratch() { return frame_scratch_; }
+  std::vector<Packet>& packet_scratch() { return packet_scratch_; }
 
   /// Emits ACK-only datagrams for every space that currently requires an
   /// immediate ACK, honouring the coalesce/defer configuration.
@@ -282,17 +294,16 @@ class Connection {
   bool HasQueuedData() const;
 
   /// Splits a TLS message into CRYPTO frames of at most `max_chunk` payload
-  /// bytes, advancing the space's crypto send offset.
-  std::vector<Frame> MakeCryptoFrames(PacketNumberSpace s, tls::MessageType message,
-                                      std::size_t message_size, std::size_t max_chunk);
+  /// bytes, advancing the space's crypto send offset. The frames become the
+  /// space's remembered crypto flight (what probe_with_data re-sends); the
+  /// returned reference stays valid until the next call for `s`.
+  const std::vector<Frame>& MakeCryptoFlight(PacketNumberSpace s, tls::MessageType message,
+                                             std::size_t message_size, std::size_t max_chunk);
 
-  /// As MakeCryptoFrames, but queues the frames for Flush() directly —
-  /// no intermediate vector.
+  /// As MakeCryptoFlight, but queues the frames for Flush() directly and
+  /// does not remember them.
   void QueueCryptoFrames(PacketNumberSpace s, tls::MessageType message,
                          std::size_t message_size, std::size_t max_chunk);
-
-  /// Remembers the crypto flight last sent in `s` for probe_with_data.
-  void RememberCryptoFlight(PacketNumberSpace s, const std::vector<Frame>& frames);
 
   /// Discards keys/state of a space (RFC 9002 §6.4) and re-arms timers.
   void DiscardSpace(PacketNumberSpace s);
@@ -304,8 +315,8 @@ class Connection {
   /// Re-evaluates the loss-detection/PTO timer (RFC 9002 A.8).
   void SetLossDetectionTimer();
 
-  /// Terminates the connection (quirk aborts).
-  void CloseConnection(std::string reason);
+  /// Terminates the connection (idle timeout, quirk aborts).
+  void CloseConnection(std::string_view reason);
 
   /// Re-processes packets that were buffered waiting for keys. Subclasses
   /// call this right after installing keys mid-hook (e.g. the client must
@@ -333,11 +344,10 @@ class Connection {
   void InjectRttSample(sim::Duration latest);
 
  private:
-  /// Both take mutable references: the caller is about to discard its copy,
-  /// so packets that must wait for keys are *moved* into the undecryptable
-  /// stash instead of deep-copying their frame lists.
-  void ProcessDatagram(Datagram& datagram);
-  void ProcessPacket(Packet& packet);
+  /// Packets that must wait for keys are copied into the undecryptable
+  /// stash as views: their frames stay where the sender placed them.
+  void ProcessDatagram(const Datagram& datagram);
+  void ProcessPacket(const Packet& packet);
   void ProcessAckFrame(PacketNumberSpace s, const AckFrame& ack);
   void RecordRttSample(PacketNumberSpace s, sim::Duration latest, sim::Duration ack_delay);
   void HandleTimeThresholdLoss(SpaceState& state);
@@ -366,7 +376,8 @@ class Connection {
   sim::Rng rng_;
   SendFn send_;
   /// Fallback for standalone constructions; unset when the harness supplied
-  /// a shared arena.
+  /// a shared arena. Declared before every member that may hold a view into
+  /// it.
   std::unique_ptr<sim::Arena> owned_arena_;
   sim::Arena* arena_;
 
@@ -417,8 +428,21 @@ class Connection {
   std::uint64_t flow_bytes_since_update_ = 0;
   std::uint64_t flow_granted_ = 0;
 
-  // Packets received before their keys were available.
+  // Packets received before their keys were available, and the buffer
+  // ReprocessUndecryptable swaps them into while it retries them.
   std::vector<Packet> pending_undecryptable_;
+  std::vector<Packet> reprocess_scratch_;
+
+  // Build buffers (see frame_scratch()). Sends never re-enter the
+  // connection — delivery always goes through the event queue — so one
+  // instance each suffices.
+  std::vector<Frame> frame_scratch_;
+  std::vector<Packet> packet_scratch_;
+  // One frame group per space for the PTO probe being built.
+  std::array<std::vector<Frame>, kNumSpaces> probe_groups_;
+  // The "closed: <reason>" trace note, built in place so closing a
+  // connection never allocates once the buffer has grown.
+  std::string close_note_;
 
   // Reusable per-ACK scratch buffers: ProcessAckFrame and the loss handlers
   // run to completion before anyone else can observe them, so a single

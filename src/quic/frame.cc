@@ -39,7 +39,8 @@ struct WireSizeVisitor {
     return 1 + VarIntSize(f.sequence);
   }
   std::size_t operator()(const ConnectionCloseFrame& f) const {
-    return 1 + VarIntSize(f.error_code) + 1 + VarIntSize(f.reason.size()) + f.reason.size();
+    // Type, error code, offending frame type, and a zero reason length.
+    return 1 + VarIntSize(f.error_code) + 1 + VarIntSize(0);
   }
   std::size_t operator()(const RetryFrame&) const {
     return 8 + 16;  // token + retry integrity tag
@@ -116,7 +117,7 @@ bool IsAckEliciting(const Frame& frame) {
          !std::holds_alternative<RetryFrame>(frame);
 }
 
-bool AnyAckEliciting(const std::vector<Frame>& frames) {
+bool AnyAckEliciting(sim::Span<const Frame> frames) {
   for (const Frame& frame : frames) {
     if (IsAckEliciting(frame)) return true;
   }
@@ -125,7 +126,7 @@ bool AnyAckEliciting(const std::vector<Frame>& frames) {
 
 std::size_t WireSize(const Frame& frame) { return std::visit(WireSizeVisitor{}, frame); }
 
-std::size_t WireSize(const std::vector<Frame>& frames) {
+std::size_t WireSize(sim::Span<const Frame> frames) {
   std::size_t total = 0;
   for (const Frame& frame : frames) total += WireSize(frame);
   return total;

@@ -4,14 +4,19 @@
 // depend on: type, byte counts (for amplification / coalescing accounting),
 // stream and crypto offsets (for reassembly and retransmission), and the
 // ACK fields (largest acked, ranges, ack delay) that drive RTT estimation.
+//
+// Every frame is trivially copyable and trivially destructible: the one
+// variable-length field, an ACK's range list, is a view into the run arena
+// (sim/arena.h), so frames copy as plain bytes and are never torn down.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <variant>
-#include <vector>
 
 #include "quic/types.h"
+#include "sim/arena.h"
 #include "sim/time.h"
 #include "tls/messages.h"
 
@@ -39,7 +44,10 @@ struct AckFrame {
   /// sending this ACK. Many deployments report 0 (Table 3) or values
   /// exceeding the RTT (Fig 10); the connection config controls this.
   sim::Duration ack_delay = 0;
-  std::vector<PnRange> ranges;  // descending, first covers largest_acked
+  /// Descending, the first covering largest_acked. Placed in the run arena
+  /// by AckManager::BuildAck (or a caller's array in tests); valid until
+  /// the arena resets.
+  sim::Span<const PnRange> ranges;
 
   /// True if `pn` is covered by any range. Inline because the recovery
   /// library calls it without linking the quic library.
@@ -88,10 +96,10 @@ struct RetireConnectionIdFrame {
   std::uint64_t sequence = 0;
 };
 
-/// CONNECTION_CLOSE.
+/// CONNECTION_CLOSE (error code only; the engine never sends a reason
+/// phrase, so the frame is sized with an empty one).
 struct ConnectionCloseFrame {
   std::uint64_t error_code = 0;
-  std::string reason;
 };
 
 /// Retry "frame": stands in for the Retry packet type (RFC 9000 §17.2.5) —
@@ -105,18 +113,23 @@ using Frame = std::variant<PaddingFrame, PingFrame, AckFrame, CryptoFrame, Strea
                            MaxDataFrame, HandshakeDoneFrame, NewConnectionIdFrame,
                            RetireConnectionIdFrame, ConnectionCloseFrame, RetryFrame>;
 
+static_assert(std::is_trivially_copyable_v<AckFrame> && std::is_trivially_destructible_v<AckFrame>,
+              "ACK frames are copied as plain bytes and never destroyed");
+static_assert(std::is_trivially_copyable_v<Frame> && std::is_trivially_destructible_v<Frame>,
+              "frames live in the run arena, which never runs destructors");
+
 /// True for frames that require the peer to send an acknowledgment
 /// (everything except ACK, PADDING and CONNECTION_CLOSE — RFC 9002 §2).
 bool IsAckEliciting(const Frame& frame);
 
 /// True if any frame in `frames` is ack-eliciting.
-bool AnyAckEliciting(const std::vector<Frame>& frames);
+bool AnyAckEliciting(sim::Span<const Frame> frames);
 
 /// Approximate encoded size of the frame in bytes.
 std::size_t WireSize(const Frame& frame);
 
 /// Total encoded size of a frame sequence.
-std::size_t WireSize(const std::vector<Frame>& frames);
+std::size_t WireSize(sim::Span<const Frame> frames);
 
 /// Frames worth retransmitting after loss (CRYPTO, STREAM, MAX_DATA,
 /// HANDSHAKE_DONE, NEW_CONNECTION_ID — not ACK/PADDING/PING).

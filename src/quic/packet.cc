@@ -1,12 +1,9 @@
 #include "quic/packet.h"
 
 #include <cstdio>
-
-#include "quic/pool.h"
+#include <new>
 
 namespace quicer::quic {
-
-void Datagram::ReleaseToPool() { ReleasePacketVec(std::move(packets)); }
 
 std::size_t HeaderSize(PacketNumberSpace space) {
   switch (space) {
@@ -47,13 +44,6 @@ std::size_t Datagram::WireSize() const {
   return total;
 }
 
-bool Datagram::IsAckEliciting() const {
-  for (const Packet& packet : packets) {
-    if (packet.IsAckEliciting()) return true;
-  }
-  return false;
-}
-
 bool Datagram::HasSpace(PacketNumberSpace space) const {
   for (const Packet& packet : packets) {
     if (packet.space == space) return true;
@@ -70,12 +60,19 @@ std::string Datagram::Describe() const {
   return out;
 }
 
-void PadDatagramTo(Datagram& datagram, std::size_t target) {
+void PadDatagramTo(Datagram& datagram, std::size_t target, sim::Arena& arena) {
   if (datagram.packets.empty()) return;
   const std::size_t current = datagram.WireSize();
   if (current >= target) return;
   Packet& padded = datagram.packets.back();
-  padded.frames.push_back(PaddingFrame{static_cast<std::uint32_t>(target - current)});
+  const std::size_t count = padded.frames.size();
+  Frame* frames = arena.AllocateUninitialized<Frame>(count + 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    ::new (static_cast<void*>(frames + i)) Frame(padded.frames[i]);
+  }
+  ::new (static_cast<void*>(frames + count))
+      Frame(PaddingFrame{static_cast<std::uint32_t>(target - current)});
+  padded.frames = {frames, count + 1};
   if (padded.wire_size != 0) padded.wire_size = padded.WireSize();
 }
 

@@ -3,14 +3,23 @@
 // A Datagram is what the Link transports and what loss patterns drop; the
 // paper's loss scenarios are defined on datagram indices precisely because
 // implementations coalesce packets differently (Table 4, Appendix E).
+//
+// Packets and datagrams are views: a packet's frames and a datagram's
+// packets are placed in the run arena once, when the sender builds them
+// (Connection::BuildPacket / SendDatagramNow), and every later hop — the
+// link, an event closure, the receiver's undecryptable stash — copies the
+// view, never the elements. Both types are trivially copyable and trivially
+// destructible; nothing is released when a datagram is delivered, dropped,
+// or left in the event queue at the end of a run.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "quic/frame.h"
 #include "quic/types.h"
+#include "sim/arena.h"
 
 namespace quicer::quic {
 
@@ -25,11 +34,12 @@ struct Packet {
   /// Address-validation token echoed in Initial packets after a Retry
   /// (0 = no token).
   std::uint64_t token = 0;
-  std::vector<Frame> frames;
+  /// The packet's frames, in the run arena (or a caller's array in tests).
+  sim::Span<const Frame> frames;
   /// Cached encoded size, stamped when the packet is built (0 = unknown).
   /// The simulator moves packets sender-to-receiver without re-encoding, so
   /// the stamp saves a frame-list walk at every sizing site along the way.
-  /// Anything that mutates `frames` after building must re-stamp (see
+  /// Anything that replaces `frames` after building must re-stamp (see
   /// PadDatagramTo).
   std::size_t wire_size = 0;
 
@@ -61,41 +71,29 @@ struct Packet {
 
 /// One UDP datagram: one or more coalesced QUIC packets.
 struct Datagram {
-  std::vector<Packet> packets;
+  /// The coalesced packets, in the run arena (or a caller's array in tests).
+  sim::Span<Packet> packets;
   /// Per-direction 1-based send index; assigned by the connection when
   /// handing the datagram to the link (mirrors the paper's loss indices).
   std::uint64_t index = 0;
 
-  Datagram() = default;
-  Datagram(Datagram&&) = default;
-  Datagram& operator=(Datagram&&) = default;
-  Datagram(const Datagram&) = default;
-  Datagram& operator=(const Datagram&) = default;
-  /// Returns the packet/frame/ack-range storage to the thread-local pools.
-  /// Datagrams die in many places — after delivery, dropped by loss, or
-  /// still sitting in an event-queue closure when a run ends and the queue
-  /// is reset — and every one of those paths must preserve pool capacity or
-  /// warm RunContexts start re-allocating what the teardown destroyed.
-  /// Most datagrams die as moved-from shells, so the capacity test is
-  /// inline and only a real buffer pays the out-of-line release.
-  ~Datagram() {
-    if (packets.capacity() != 0) ReleaseToPool();
-  }
-
   std::size_t WireSize() const;
-  bool IsAckEliciting() const;
 
   /// True if any packet in the datagram is in `space`.
   bool HasSpace(PacketNumberSpace space) const;
 
   std::string Describe() const;
-
- private:
-  void ReleaseToPool();
 };
 
+static_assert(std::is_trivially_copyable_v<Packet> && std::is_trivially_destructible_v<Packet>,
+              "packets are views: copied as plain bytes, never destroyed");
+static_assert(std::is_trivially_copyable_v<Datagram> &&
+                  std::is_trivially_destructible_v<Datagram>,
+              "datagrams move through the link as plain bytes, with nothing to release");
+
 /// Pads `datagram` with a PADDING frame in its last packet so its wire size
-/// reaches at least `target` bytes (no-op if already large enough).
-void PadDatagramTo(Datagram& datagram, std::size_t target);
+/// reaches at least `target` bytes (no-op if already large enough). The last
+/// packet's frames are placed again in `arena` with one extra slot.
+void PadDatagramTo(Datagram& datagram, std::size_t target, sim::Arena& arena);
 
 }  // namespace quicer::quic

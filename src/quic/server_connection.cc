@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "quic/pool.h"
-
 namespace quicer::quic {
 namespace {
 constexpr std::size_t kCryptoChunk = 1000;
@@ -60,9 +58,8 @@ void ServerConnection::HandleCrypto(PacketNumberSpace s, const CryptoFrame& fram
       // committing any handshake state.
       if (!retry_sent_) {
         retry_sent_ = true;
-        std::vector<Frame> frames = AcquireFrameVec();
-        frames.push_back(RetryFrame{kRetryToken});
-        SendPacketNow(PacketNumberSpace::kInitial, std::move(frames));
+        const Frame retry{RetryFrame{kRetryToken}};
+        SendPacketNow(PacketNumberSpace::kInitial, {&retry, 1});
         trace().RecordNote(queue().now(), "server", "Retry sent");
       }
       return;
@@ -98,9 +95,8 @@ void ServerConnection::OnClientHelloComplete() {
       !cert_immediately_available) {
     iack_sent_ = true;
     if (auto ack = PopAck(PacketNumberSpace::kInitial)) {
-      std::vector<Frame> frames = AcquireFrameVec();
-      frames.push_back(std::move(*ack));
-      SendPacketNow(PacketNumberSpace::kInitial, std::move(frames),
+      const Frame frame{*ack};
+      SendPacketNow(PacketNumberSpace::kInitial, {&frame, 1},
                     server_config_.pad_instant_ack ? kMinInitialDatagramSize : 0);
       trace().RecordNote(queue().now(), "server", "instant ACK sent");
     }
@@ -124,12 +120,11 @@ void ServerConnection::BuildServerFlight(std::size_t certificate_bytes) {
 
   // Initial: ServerHello (the pending ACK is bundled by Flush — this is the
   // WFC coalesced ACK+SH, or an updated ACK covering client probes in IACK).
-  std::vector<Frame> sh = MakeCryptoFrames(PacketNumberSpace::kInitial,
-                                           tls::MessageType::kServerHello,
-                                           config().tls.server_hello, kCryptoChunk);
-  RememberCryptoFlight(PacketNumberSpace::kInitial, sh);
-  for (Frame& frame : sh) QueueFrame(PacketNumberSpace::kInitial, std::move(frame));
-  ReleaseFrameVec(std::move(sh));
+  for (const Frame& frame :
+       MakeCryptoFlight(PacketNumberSpace::kInitial, tls::MessageType::kServerHello,
+                        config().tls.server_hello, kCryptoChunk)) {
+    QueueFrame(PacketNumberSpace::kInitial, frame);
+  }
 
   // Handshake: EncryptedExtensions, Certificate, CertificateVerify, Finished.
   QueueCryptoFrames(PacketNumberSpace::kHandshake, tls::MessageType::kEncryptedExtensions,

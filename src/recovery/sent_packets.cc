@@ -13,7 +13,7 @@ bool PnBelow(const SentPacket& entry, std::uint64_t pn) { return entry.packet_nu
 bool PnAbove(std::uint64_t pn, const SentPacket& entry) { return pn < entry.packet_number; }
 
 /// The form AckManager emits: descending, disjoint, each first <= last.
-bool IsCanonical(const std::vector<quic::PnRange>& ranges) {
+bool IsCanonical(sim::Span<const quic::PnRange> ranges) {
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     if (ranges[i].first > ranges[i].last) return false;
     if (i > 0 && ranges[i].last >= ranges[i - 1].first) return false;
@@ -23,7 +23,7 @@ bool IsCanonical(const std::vector<quic::PnRange>& ranges) {
 
 /// Writes the canonical form of `ranges` — same covered packet numbers,
 /// inverted (empty) ranges dropped, overlaps merged — into `out`.
-void Canonicalise(const std::vector<quic::PnRange>& ranges, std::vector<quic::PnRange>& out) {
+void Canonicalise(sim::Span<const quic::PnRange> ranges, std::vector<quic::PnRange>& out) {
   out.clear();
   for (const quic::PnRange& range : ranges) {
     if (range.first <= range.last) out.push_back(range);
@@ -89,29 +89,29 @@ void SentPacketLedger::OnAckReceivedInto(const quic::AckFrame& ack, sim::Time no
     largest_acked_ = ack.largest_acked;
   }
 
-  const std::vector<quic::PnRange>* ranges = &ack.ranges;
-  if (!IsCanonical(ack.ranges)) {
-    Canonicalise(ack.ranges, range_scratch_);
-    ranges = &range_scratch_;
+  sim::Span<const quic::PnRange> ranges = ack.ranges;
+  if (!IsCanonical(ranges)) {
+    Canonicalise(ranges, range_scratch_);
+    ranges = range_scratch_;
   }
-  if (ranges->empty()) return;
+  if (ranges.empty()) return;
 
   // Only records inside [smallest acked, largest acked] can be acked; the
   // (usually much larger) part of the flight above the window is untouched.
   SentPacket* const live = unacked_.data() + head_;
   SentPacket* const end = unacked_.data() + unacked_.size();
-  const std::uint64_t smallest = ranges->back().first;
+  const std::uint64_t smallest = ranges.back().first;
   // Most ACKs start at or below the oldest outstanding packet: skip the
   // search then.
   SentPacket* const lo = live == end || live->packet_number >= smallest
                              ? live
                              : std::lower_bound(live + 1, end, smallest, PnBelow);
-  SentPacket* const hi = std::upper_bound(lo, end, ranges->front().last, PnAbove);
+  SentPacket* const hi = std::upper_bound(lo, end, ranges.front().last, PnAbove);
 
   // Walk the window downward with the descending ranges in step. Acked
   // records go to the result; survivors (holes between ranges) pack
   // against `hi`, so the retired slots collect at the bottom.
-  const quic::PnRange* range = ranges->data();
+  const quic::PnRange* range = ranges.data;
   SentPacket* keep = hi;
   for (SentPacket* it = hi; it != lo;) {
     --it;

@@ -33,24 +33,16 @@
 
 #include "quic/frame.h"
 #include "quic/types.h"
+#include "sim/arena.h"
 #include "sim/time.h"
 
 namespace quicer::recovery {
 
 /// Non-owning view of a packet's retransmittable frames, parked in the run
-/// arena by the sender. Only trivially-destructible frame alternatives
-/// (CRYPTO/STREAM/MAX_DATA/HANDSHAKE_DONE/NEW_CONNECTION_ID) are ever
-/// stored, so dropping a span — on ack, on loss, or at arena reset — needs
-/// no cleanup. Valid until the owning arena resets.
-struct FrameSpan {
-  quic::Frame* data = nullptr;
-  std::uint32_t count = 0;
-
-  quic::Frame* begin() const { return data; }
-  quic::Frame* end() const { return data + count; }
-  std::uint32_t size() const { return count; }
-  bool empty() const { return count == 0; }
-};
+/// arena by the sender. Frames are trivially destructible, so dropping a
+/// span — on ack, on loss, or at arena reset — needs no cleanup. Valid
+/// until the owning arena resets.
+using FrameSpan = sim::Span<const quic::Frame>;
 
 /// Metadata for one sent packet. Trivially copyable: the frame storage is an
 /// arena-backed span, not an owned container.

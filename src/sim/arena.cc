@@ -12,6 +12,7 @@ void* Arena::AllocateSlow(std::size_t bytes, std::size_t alignment) {
     unsigned char* aligned = AlignUp(cursor_, alignment);
     if (aligned + bytes <= limit_) {
       cursor_ = aligned + bytes;
+      Unpoison(aligned, bytes);
       return aligned;
     }
   }
@@ -21,8 +22,10 @@ void* Arena::AllocateSlow(std::size_t bytes, std::size_t alignment) {
   chunk_index_ = chunks_.size() - 1;
   cursor_ = chunks_.back().data.get();
   limit_ = cursor_ + size;
+  Poison(cursor_, size);
   unsigned char* aligned = AlignUp(cursor_, alignment);
   cursor_ = aligned + bytes;
+  Unpoison(aligned, bytes);
   return aligned;
 }
 

@@ -19,7 +19,7 @@ void Link::ApplyModel() {
     one_way_delay_[dir] = path.one_way_delay.value_or(config_.one_way_delay);
     jitter_[dir] = path.jitter.value_or(config_.jitter);
     loss_process_[dir] = netem::LossProcess(config_.model.loss[dir]);
-    // Reset (not reassignment) so the deque keeps its allocated blocks.
+    // Reset (not reassignment) so the FIFO keeps its capacity.
     bottleneck_[dir].Reset(config_.model.queue[dir]);
   }
 }

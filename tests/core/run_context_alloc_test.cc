@@ -1,9 +1,9 @@
 // Steady-state allocation regression test for whole repeated repetitions.
 //
-// PR-by-PR the engine's hot paths stopped allocating: the event queue
-// recycles slots, packet/frame vectors round-trip through thread-local
-// pools, ledger frame spans live on the run arena, and RunContext resets
-// the link and both endpoints in place instead of re-constructing them.
+// The engine's hot paths do not allocate: the event queue recycles slots,
+// every wire object a run sends (packet and frame lists, ACK ranges, ledger
+// frame spans) lives on the run arena, and RunContext resets the link and
+// both endpoints in place instead of re-constructing them.
 // The end-to-end promise is that once a context has warmed up, an entire
 // repetition — schedule, handshake, certificate fetch, response transfer,
 // reset — performs no heap allocation at all. This binary replaces global
@@ -79,8 +79,9 @@ ExperimentConfig QuietConfig(std::uint64_t seed) {
 TEST(RunContextAlloc, RepeatedRepetitionsAreAllocationFree) {
   RunContext context;
 
-  // Warm-up: grow every container (queue slots, pools, ledger and ack
-  // buffers, arena chunks, trace capacity) to the working set of each seed.
+  // Warm-up: grow every container (queue slots, build scratch, ledger and
+  // ack buffers, arena chunks, trace capacity) to the working set of each
+  // seed.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     ExperimentResult result = context.Run(QuietConfig(seed));
     ASSERT_TRUE(result.completed);
@@ -131,6 +132,54 @@ TEST(RunContextAlloc, LossyHandshakeWithPtoIsAllocationFree) {
   EXPECT_EQ(scope.count(), 0u);
 }
 
+TEST(RunContextAlloc, BulkTransferOverQueuedLossyLinkIsAllocationFree) {
+  // The per-datagram steady state of a bulk transfer: a 1 MB body over the
+  // ge-asym-queued link of examples/netem_gilbert_asym.json (bursty
+  // Gilbert-Elliott loss both ways, 2/20 Mbit/s asymmetric path, an 8-packet
+  // tail-drop FIFO downstream). Hundreds of datagrams are in flight, ACKs
+  // carry many ranges, the netem FIFO cycles, and most transfers end in an
+  // idle-timeout close — none of it may allocate once the context is warm.
+  netem::LinkModel link;
+  for (int dir : {netem::kUp, netem::kDown}) {
+    link.loss[dir].kind = netem::LossModel::Kind::kGilbertElliott;
+    link.loss[dir].p = 0.05;
+    link.loss[dir].r = 0.25;
+  }
+  link.queue[netem::kDown].kind = netem::QueueModel::Kind::kFifo;
+  link.queue[netem::kDown].depth_pkts = 8;
+  link.path[netem::kUp].bandwidth_bps = 2e6;
+  link.path[netem::kDown].bandwidth_bps = 20e6;
+  link.path[netem::kUp].one_way_delay = sim::Millis(25);
+  link.path[netem::kDown].one_way_delay = sim::Millis(15);
+
+  std::vector<ExperimentConfig> configs;
+  for (quic::ServerBehavior behavior :
+       {quic::ServerBehavior::kWaitForCertificate, quic::ServerBehavior::kInstantAck}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      ExperimentConfig config = QuietConfig(seed);
+      config.behavior = behavior;
+      config.response_body_bytes = 1 << 20;
+      config.link = link;
+      configs.push_back(config);
+    }
+  }
+  RunContext context;
+  std::uint64_t datagrams = 0;
+  for (const ExperimentConfig& config : configs) {
+    const ExperimentResult result = context.Run(config);
+    datagrams += result.server.datagrams_sent + result.client.datagrams_sent;
+  }
+  // Bulk traffic really flowed (hundreds of datagrams per transfer).
+  EXPECT_GT(datagrams, 100u * configs.size());
+
+  AllocationScope scope;
+  for (int round = 0; round < 2; ++round) {
+    for (const ExperimentConfig& config : configs) context.Run(config);
+  }
+  EXPECT_EQ(scope.count(), 0u) << "allocations per transfer: "
+                               << static_cast<double>(scope.count()) / (2.0 * configs.size());
+}
+
 TEST(RunContextAlloc, ReusedContextMatchesFreshContext) {
   // Reset-in-place must be invisible: a context that just ran seed 3 and is
   // reset to seed 5 produces the byte-for-byte metrics of a cold context
@@ -156,8 +205,8 @@ TEST(RunContextAlloc, ReusedContextMatchesFreshContext) {
 
 TEST(RunContextAlloc, TelemetryCountingStaysAllocationFree) {
   // EnableProcess is sticky for the rest of the process, so this test is
-  // declared last. With telemetry live the hot paths count events, pool
-  // traffic, netem queue depths and loss-detection activity — each count a
+  // declared last. With telemetry live the hot paths count events, arena
+  // placements, netem queue depths and loss-detection activity — each count a
   // branch plus an array increment on a registry created here, outside the
   // counting scope. A steady-state repetition must stay allocation-free
   // with the instrumentation armed.

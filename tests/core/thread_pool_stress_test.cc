@@ -1,9 +1,8 @@
 // TSan-targeted stress coverage for the concurrency hot spots the tsan CI
 // job exists to watch: ThreadPool work stealing under submission pressure,
 // shutdown while tasks are in flight (including tasks that Submit more
-// work), the serialized SweepObserver contract, thread-local quic pool
-// acquire/release from many workers, and telemetry counting concurrent with
-// the end-of-loop snapshot. The assertions are deliberately coarse — the
+// work), the serialized SweepObserver contract, and telemetry counting
+// concurrent with the end-of-loop snapshot. The assertions are deliberately coarse — the
 // point of these tests is the interleavings they force under
 // -DQUICER_SANITIZE=thread, where any unsynchronized access fails the run.
 #include "core/thread_pool.h"
@@ -17,7 +16,6 @@
 
 #include "core/sweep.h"
 #include "obs/telemetry.h"
-#include "quic/pool.h"
 
 namespace quicer::core {
 namespace {
@@ -79,34 +77,6 @@ TEST(ThreadPoolStress, NestedParallelForFromEveryWorker) {
   EXPECT_EQ(inner.load(), static_cast<int>(kStressThreads * 4 * 32));
 }
 
-TEST(ThreadPoolStress, PoolAcquireReleaseFromAllWorkers) {
-  // Hammer the thread-local quic pools from every worker: acquire a nest of
-  // containers, exercise them, release in mixed order. The pools are
-  // per-thread free lists, so the only cross-thread state is the telemetry
-  // counters — any other sharing is a bug this test exists to expose.
-  ThreadPool pool(kStressThreads);
-  std::atomic<int> cycles{0};
-  pool.ParallelFor(kStressThreads * 64, [&](std::size_t i) {
-    for (int rep = 0; rep < 50; ++rep) {
-      std::vector<quic::Frame> frames = quic::AcquireFrameVec();
-      frames.push_back(quic::PingFrame{});
-      quic::AckFrame ack;
-      ack.ranges = quic::AcquirePnRangeVec();
-      ack.ranges.push_back({0, i});
-      frames.push_back(std::move(ack));
-      quic::Datagram datagram = quic::AcquireDatagram();
-      quic::Packet packet;
-      packet.frames = std::move(frames);
-      datagram.packets.push_back(std::move(packet));
-      quic::ReleaseDatagram(std::move(datagram));
-      std::vector<quic::Packet> packets = quic::AcquirePacketVec();
-      quic::ReleasePacketVec(std::move(packets));
-    }
-    cycles.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(cycles.load(), static_cast<int>(kStressThreads * 64));
-}
-
 TEST(ThreadPoolStress, TelemetryCountingAcrossWorkers) {
   // All workers count into their per-thread registries while the loop runs;
   // the end-of-loop Snapshot must observe every bump through ParallelFor's
@@ -118,11 +88,11 @@ TEST(ThreadPoolStress, TelemetryCountingAcrossWorkers) {
   pool.ParallelFor(kJobs, [](std::size_t) {
     obs::EnsureThisThread();
     obs::Count(obs::kEventsRun);
-    obs::CountMax(obs::kPoolFrameHighWater, 7);
+    obs::CountMax(obs::kArenaBytesHighWater, 7);
   });
   const auto snapshot = obs::Snapshot();
   EXPECT_GE(snapshot[obs::kEventsRun], kJobs);
-  EXPECT_GE(snapshot[obs::kPoolFrameHighWater], 7u);
+  EXPECT_GE(snapshot[obs::kArenaBytesHighWater], 7u);
 }
 
 TEST(ThreadPoolStress, ObserverSerializedUnderParallelExecution) {

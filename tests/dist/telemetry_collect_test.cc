@@ -53,7 +53,7 @@ core::SweepSpec CountingSpec() {
   spec.metrics = {{"v", core::MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
   spec.runner = [](const core::SweepRunContext& ctx) {
     quicer::obs::Count(quicer::obs::kEventsRun);
-    quicer::obs::CountMax(quicer::obs::kPoolFrameHighWater,
+    quicer::obs::CountMax(quicer::obs::kArenaBytesHighWater,
                           static_cast<std::uint64_t>(ctx.repetition + 1));
     return std::vector<double>{static_cast<double>(ctx.point.Extra("k")->value) * 10.0 +
                                ctx.repetition};
@@ -73,7 +73,7 @@ TEST(SweepTelemetry, RunSweepSnapshotsCountersPerSweep) {
   std::uint64_t highwater = 0;
   for (const auto& [name, value] : result.telemetry.counters) {
     if (name == "sim.events_run") runs = value;
-    if (name == "quic.pool.frame_highwater") highwater = value;
+    if (name == "quic.arena.bytes_highwater") highwater = value;
   }
   EXPECT_EQ(runs, 24u);       // 4 points x 6 repetitions
   EXPECT_EQ(highwater, 6u);   // max repetition index + 1, not a sum
@@ -122,7 +122,7 @@ TEST(SweepTelemetry, PartialDocumentsCarryAndMergeTheTelemetryBlock) {
   std::uint64_t highwater = 0;
   for (const auto& [name, value] : merged->telemetry.counters) {
     if (name == "sim.events_run") runs = value;
-    if (name == "quic.pool.frame_highwater") highwater = value;
+    if (name == "quic.arena.bytes_highwater") highwater = value;
   }
   EXPECT_EQ(runs, 24u);      // 12 + 12: sums add across partials
   EXPECT_EQ(highwater, 6u);  // max(3, 6): high-water marks take the max

@@ -22,7 +22,7 @@ TEST(Telemetry, DisabledCountingIsANoOpAndCheapToCall) {
   // Counting without a registry must be safe (and is the default state of
   // every thread in every bench run without --telemetry).
   Count(kEventsRun, 100);
-  CountMax(kPoolFrameHighWater, 7);
+  CountMax(kArenaBytesHighWater, 7);
   EnsureThisThread();  // no-op while the process is disabled
   EXPECT_FALSE(Enabled());
 }
@@ -34,23 +34,23 @@ TEST(Telemetry, CountsFoldAcrossThreadsBySumAndMax) {
   ResetAll();
 
   Count(kEventsRun, 10);
-  CountMax(kPoolFrameHighWater, 5);
+  CountMax(kArenaBytesHighWater, 5);
   std::thread worker([] {
     EnsureThisThread();
     Count(kEventsRun, 32);
-    CountMax(kPoolFrameHighWater, 9);
+    CountMax(kArenaBytesHighWater, 9);
   });
   worker.join();
 
   // The worker thread has exited; its registry must still be visible.
   const auto snapshot = Snapshot();
   EXPECT_EQ(snapshot[kEventsRun], 42u);
-  EXPECT_EQ(snapshot[kPoolFrameHighWater], 9u);
+  EXPECT_EQ(snapshot[kArenaBytesHighWater], 9u);
 
   ResetAll();
   const auto zeroed = Snapshot();
   EXPECT_EQ(zeroed[kEventsRun], 0u);
-  EXPECT_EQ(zeroed[kPoolFrameHighWater], 0u);
+  EXPECT_EQ(zeroed[kArenaBytesHighWater], 0u);
 }
 
 TEST(Telemetry, DescriptorsNameEveryCounterDistinctly) {
@@ -64,7 +64,7 @@ TEST(Telemetry, DescriptorsNameEveryCounterDistinctly) {
   }
   EXPECT_EQ(std::string_view(Describe(kEventsRun).name), "sim.events_run");
   EXPECT_EQ(Describe(kEventsRun).merge, MergeMode::kSum);
-  EXPECT_EQ(Describe(kPoolPacketHighWater).merge, MergeMode::kMax);
+  EXPECT_EQ(Describe(kArenaBytesHighWater).merge, MergeMode::kMax);
   EXPECT_EQ(Describe(kNetemMaxQueueBytesDown).merge, MergeMode::kMax);
 
   // Directional pairs sit at adjacent values (call sites offset by
@@ -87,7 +87,7 @@ TEST(Telemetry, SweepRecordsDrainIntoAParseableReport) {
   record.sweep = "loss_sweep";
   record.wall_seconds = 1.5;
   record.executed_runs = 300;
-  record.counters = {{"sim.events_run", 4500u}, {"quic.pool.frame_highwater", 12u}};
+  record.counters = {{"sim.events_run", 4500u}, {"quic.arena.bytes_highwater", 12u}};
   AppendSweepRecord(record);
   SetCurrentBench("");
 

@@ -7,6 +7,12 @@ namespace {
 
 AckPolicy DefaultPolicy() { return AckPolicy{}; }
 
+// Built ACKs view ranges placed on an arena; one serves the whole binary.
+sim::Arena& TestArena() {
+  static sim::Arena arena;
+  return arena;
+}
+
 TEST(AckManager, DuplicateDetection) {
   AckManager manager(PacketNumberSpace::kInitial, DefaultPolicy());
   EXPECT_TRUE(manager.OnPacketReceived(0, true, 0));
@@ -49,7 +55,7 @@ TEST(AckManager, BuildAckCoversReceivedRanges) {
   manager.OnPacketReceived(0, true, 0);
   manager.OnPacketReceived(1, true, 0);
   manager.OnPacketReceived(3, true, 0);
-  const auto ack = manager.BuildAck(sim::Millis(1));
+  const auto ack = manager.BuildAck(sim::Millis(1), TestArena());
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->largest_acked, 3u);
   ASSERT_EQ(ack->ranges.size(), 2u);
@@ -65,14 +71,14 @@ TEST(AckManager, BuildAckResetsPendingState) {
   AckManager manager(PacketNumberSpace::kInitial, DefaultPolicy());
   manager.OnPacketReceived(0, true, 0);
   EXPECT_TRUE(manager.HasPendingAck());
-  manager.BuildAck(0);
+  manager.BuildAck(0, TestArena());
   EXPECT_FALSE(manager.HasPendingAck());
   EXPECT_FALSE(manager.ShouldAckImmediately());
 }
 
 TEST(AckManager, BuildAckEmptyWhenNothingReceived) {
   AckManager manager(PacketNumberSpace::kInitial, DefaultPolicy());
-  EXPECT_FALSE(manager.BuildAck(0).has_value());
+  EXPECT_FALSE(manager.BuildAck(0, TestArena()).has_value());
 }
 
 TEST(AckManager, ActualAckDelayReported) {
@@ -80,7 +86,7 @@ TEST(AckManager, ActualAckDelayReported) {
   policy.report_mode = AckDelayReportMode::kActual;
   AckManager manager(PacketNumberSpace::kAppData, policy);
   manager.OnPacketReceived(0, true, sim::Millis(10));
-  const auto ack = manager.BuildAck(sim::Millis(14));
+  const auto ack = manager.BuildAck(sim::Millis(14), TestArena());
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->ack_delay, sim::Millis(4));
 }
@@ -91,7 +97,7 @@ TEST(AckManager, ZeroReportModeAlwaysZero) {
   policy.report_mode = AckDelayReportMode::kZero;
   AckManager manager(PacketNumberSpace::kInitial, policy);
   manager.OnPacketReceived(0, true, sim::Millis(10));
-  const auto ack = manager.BuildAck(sim::Millis(30));
+  const auto ack = manager.BuildAck(sim::Millis(30), TestArena());
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->ack_delay, 0);
 }
@@ -103,7 +109,7 @@ TEST(AckManager, FixedReportModeUsesConfiguredValue) {
   policy.fixed_report_value = sim::Millis(14);
   AckManager manager(PacketNumberSpace::kInitial, policy);
   manager.OnPacketReceived(0, true, 0);
-  const auto ack = manager.BuildAck(sim::Millis(1));
+  const auto ack = manager.BuildAck(sim::Millis(1), TestArena());
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->ack_delay, sim::Millis(14));
 }
@@ -112,11 +118,36 @@ TEST(AckManager, RangeMergingAcrossInsertOrders) {
   AckManager manager(PacketNumberSpace::kInitial, DefaultPolicy());
   // Insert out of order; ranges must merge to one.
   for (std::uint64_t pn : {4u, 0u, 2u, 1u, 3u}) manager.OnPacketReceived(pn, true, 0);
-  const auto ack = manager.BuildAck(0);
+  const auto ack = manager.BuildAck(0, TestArena());
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->ranges.size(), 1u);
   EXPECT_EQ(ack->ranges[0].first, 0u);
   EXPECT_EQ(ack->ranges[0].last, 4u);
+}
+
+TEST(AckManager, BuiltRangesSurviveLaterReceipts) {
+  // An ACK may sit in a pending queue (a congestion-blocked flush puts it
+  // back) while more packets arrive: its arena-placed ranges must keep
+  // describing what it acknowledged when it was built.
+  AckManager manager(PacketNumberSpace::kAppData, DefaultPolicy());
+  manager.OnPacketReceived(0, true, 0);
+  manager.OnPacketReceived(2, true, 0);
+  const auto first = manager.BuildAck(0, TestArena());
+  ASSERT_TRUE(first.has_value());
+  for (std::uint64_t pn : {1u, 3u, 5u}) manager.OnPacketReceived(pn, true, 0);
+  const auto second = manager.BuildAck(0, TestArena());
+  ASSERT_TRUE(second.has_value());
+
+  ASSERT_EQ(first->ranges.size(), 2u);
+  EXPECT_EQ(first->ranges[0].first, 2u);
+  EXPECT_EQ(first->ranges[0].last, 2u);
+  EXPECT_EQ(first->ranges[1].first, 0u);
+  EXPECT_EQ(first->ranges[1].last, 0u);
+  EXPECT_FALSE(first->Acks(1));
+  ASSERT_EQ(second->ranges.size(), 2u);
+  EXPECT_EQ(second->ranges[0].first, 5u);
+  EXPECT_EQ(second->ranges[1].last, 3u);
+  EXPECT_NE(first->ranges.data, second->ranges.data);
 }
 
 TEST(AckManager, LargestReceivedTracksMaximum) {

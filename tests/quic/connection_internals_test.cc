@@ -2,7 +2,9 @@
 // ServerConnection directly over a Link (no experiment harness).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <vector>
 
 #include "quic/client_connection.h"
 #include "quic/server_connection.h"
@@ -32,15 +34,14 @@ class Harness {
     server_config.response_body_bytes = 4096;
     server_ = std::make_unique<ServerConnection>(queue_, server_config, sim::Rng(3));
 
+    // Datagrams are views into the sender's arena: the closure copies one.
     client_->set_send_function([this](Datagram&& datagram) {
-      auto shared = std::make_shared<Datagram>(std::move(datagram));
-      link_->Send(sim::Direction::kClientToServer, shared->WireSize(),
-                  [this, shared] { server_->OnDatagramReceived(*shared); });
+      link_->Send(sim::Direction::kClientToServer, datagram.WireSize(),
+                  [this, datagram] { server_->OnDatagramReceived(datagram); });
     });
     server_->set_send_function([this](Datagram&& datagram) {
-      auto shared = std::make_shared<Datagram>(std::move(datagram));
-      link_->Send(sim::Direction::kServerToClient, shared->WireSize(),
-                  [this, shared] { client_->OnDatagramReceived(*shared); });
+      link_->Send(sim::Direction::kServerToClient, datagram.WireSize(),
+                  [this, datagram] { client_->OnDatagramReceived(datagram); });
     });
   }
 
@@ -228,17 +229,33 @@ class BareServer : public Connection {
   void HandleStream(const StreamFrame&) override {}
 };
 
-/// A client Initial datagram holding one ack-eliciting PING packet.
-Datagram ClientPing(std::uint64_t pn, std::uint32_t padding) {
-  Packet packet;
-  packet.space = PacketNumberSpace::kInitial;
-  packet.packet_number = pn;
-  packet.frames = {PingFrame{}, PaddingFrame{padding}};
-  packet.wire_size = packet.WireSize();
+/// Storage for the hand-built peer datagrams: wire objects are views, and
+/// these must outlive the connections that read them, as a run's do.
+sim::Arena& PeerArena() {
+  static sim::Arena arena;
+  return arena;
+}
+
+/// A client Initial datagram of one ack-eliciting PING packet per pn, the
+/// last one padded with `padding` bytes.
+Datagram ClientPings(std::initializer_list<std::uint64_t> pns, std::uint32_t padding) {
+  std::vector<Packet> packets;
+  for (std::uint64_t pn : pns) {
+    const bool last = packets.size() + 1 == pns.size();
+    const Frame frames[] = {PingFrame{}, PaddingFrame{last ? padding : 0}};
+    Packet packet;
+    packet.space = PacketNumberSpace::kInitial;
+    packet.packet_number = pn;
+    packet.frames = PeerArena().Copy(frames, 2);
+    packet.wire_size = packet.WireSize();
+    packets.push_back(packet);
+  }
   Datagram datagram;
-  datagram.packets.push_back(std::move(packet));
+  datagram.packets = PeerArena().Copy(packets.data(), packets.size());
   return datagram;
 }
+
+Datagram ClientPing(std::uint64_t pn, std::uint32_t padding) { return ClientPings({pn}, padding); }
 
 TEST(ConnectionInternals, KnownFidelityBugBlockedFlushParksBuiltAckInPending) {
   // KNOWN FIDELITY BUG, asserted as it behaves today (fixing it changes
@@ -262,12 +279,55 @@ TEST(ConnectionInternals, KnownFidelityBugBlockedFlushParksBuiltAckInPending) {
   server.OnDatagramReceived(ClientPing(1, 1150));
   ASSERT_EQ(server.sent.size(), 1u);
   ASSERT_EQ(server.sent[0].packets.size(), 1u);
-  const std::vector<Frame>& frames = server.sent[0].packets[0].frames;
+  const sim::Span<const Frame> frames = server.sent[0].packets[0].frames;
   ASSERT_EQ(frames.size(), 3u);
   ASSERT_TRUE(std::holds_alternative<AckFrame>(frames[0]));
   EXPECT_EQ(std::get<AckFrame>(frames[0]).largest_acked, 1u);
   ASSERT_TRUE(std::holds_alternative<AckFrame>(frames[1]));
   EXPECT_EQ(std::get<AckFrame>(frames[1]).largest_acked, 0u);
+  EXPECT_TRUE(std::holds_alternative<CryptoFrame>(frames[2]));
+}
+
+TEST(ConnectionInternals, AckPutBackByBlockedFlushKeepsItsRangesUntilSent) {
+  // The ACK a blocked flush puts back into `pending` views ranges that
+  // AckManager::BuildAck placed on the run arena. The frame is copied out
+  // of the unsent packet and sent only after later ACKs were built and
+  // placed, so its view must still read the ranges it was built with.
+  sim::EventQueue queue;
+  BareServer server(queue);
+  server.QueueInitialCrypto(1000);
+
+  // Two PINGs with a gap (pns 0 and 2): the ACK carries two ranges. The
+  // small datagram cannot buy enough budget, so the flush is blocked.
+  server.OnDatagramReceived(ClientPings({0, 2}, 10));
+  EXPECT_TRUE(server.sent.empty());
+  EXPECT_EQ(server.metrics().amp_blocked_events, 1);
+
+  server.OnDatagramReceived(ClientPing(5, 1150));
+  ASSERT_EQ(server.sent.size(), 1u);
+  ASSERT_EQ(server.sent[0].packets.size(), 1u);
+  const sim::Span<const Frame> frames = server.sent[0].packets[0].frames;
+  ASSERT_EQ(frames.size(), 3u);
+
+  // The fresh ACK: 5, 2, 0.
+  const auto* fresh = std::get_if<AckFrame>(&frames[0]);
+  ASSERT_NE(fresh, nullptr);
+  ASSERT_EQ(fresh->ranges.size(), 3u);
+  EXPECT_EQ(fresh->ranges[0].first, 5u);
+  EXPECT_EQ(fresh->ranges[2].last, 0u);
+
+  // The put-back ACK, sent two builds later: still exactly 2 and 0.
+  const auto* parked = std::get_if<AckFrame>(&frames[1]);
+  ASSERT_NE(parked, nullptr);
+  EXPECT_EQ(parked->largest_acked, 2u);
+  ASSERT_EQ(parked->ranges.size(), 2u);
+  EXPECT_EQ(parked->ranges[0].first, 2u);
+  EXPECT_EQ(parked->ranges[0].last, 2u);
+  EXPECT_EQ(parked->ranges[1].first, 0u);
+  EXPECT_EQ(parked->ranges[1].last, 0u);
+  EXPECT_TRUE(parked->Acks(2));
+  EXPECT_FALSE(parked->Acks(1));
+  EXPECT_NE(parked->ranges.data, fresh->ranges.data);
   EXPECT_TRUE(std::holds_alternative<CryptoFrame>(frames[2]));
 }
 

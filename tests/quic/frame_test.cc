@@ -58,23 +58,33 @@ TEST(Frames, WireSizePaddingIsItsSize) {
 TEST(Frames, WireSizePingIsOneByte) { EXPECT_EQ(WireSize(Frame(PingFrame{})), 1u); }
 
 TEST(Frames, AckWireSizeGrowsWithRanges) {
+  // ACK frames view their ranges; local arrays stand in for the run arena.
+  const PnRange one[] = {PnRange{0, 5}};
+  const PnRange three[] = {PnRange{18, 20}, PnRange{10, 12}, PnRange{0, 5}};
   AckFrame one_range;
   one_range.largest_acked = 5;
-  one_range.ranges = {PnRange{0, 5}};
+  one_range.ranges = {one, 1};
   AckFrame three_ranges;
   three_ranges.largest_acked = 20;
-  three_ranges.ranges = {PnRange{18, 20}, PnRange{10, 12}, PnRange{0, 5}};
+  three_ranges.ranges = {three, 3};
   EXPECT_GT(WireSize(Frame(three_ranges)), WireSize(Frame(one_range)));
 }
 
 TEST(Frames, AckFrameAcksMembership) {
+  const PnRange ranges[] = {PnRange{8, 10}, PnRange{2, 4}};
   AckFrame ack;
   ack.largest_acked = 10;
-  ack.ranges = {PnRange{8, 10}, PnRange{2, 4}};
+  ack.ranges = {ranges, 2};
   EXPECT_TRUE(ack.Acks(9));
   EXPECT_TRUE(ack.Acks(2));
   EXPECT_FALSE(ack.Acks(5));
   EXPECT_FALSE(ack.Acks(11));
+}
+
+TEST(Frames, ConnectionCloseIsSizedWithAnEmptyReason) {
+  // Type, error code, offending frame type, zero reason length.
+  EXPECT_EQ(WireSize(Frame(ConnectionCloseFrame{0x0a})), 4u);
+  EXPECT_EQ(WireSize(Frame(ConnectionCloseFrame{1000})), 5u);
 }
 
 TEST(Frames, VectorWireSizeIsSum) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/arena.h"
 #include "sim/rng.h"
 
 namespace quicer::recovery {
@@ -23,13 +24,31 @@ SentPacket MakePacket(std::uint64_t pn, sim::Time sent, bool ack_eliciting = tru
   return packet;
 }
 
+/// ACK frames view their ranges; the hand-built ones of these tests place
+/// them on one arena that lives as long as the binary.
+sim::Arena& TestArena() {
+  static sim::Arena arena;
+  return arena;
+}
+
+quic::AckFrame AckWithRanges(std::uint64_t largest_acked,
+                             std::initializer_list<quic::PnRange> ranges) {
+  quic::AckFrame ack;
+  ack.largest_acked = largest_acked;
+  ack.ranges = TestArena().Copy(ranges.begin(), ranges.size());
+  return ack;
+}
+
+/// One single-packet range per pn, in the order given.
 quic::AckFrame AckOf(std::initializer_list<std::uint64_t> pns, sim::Duration delay = 0) {
+  std::vector<quic::PnRange> ranges;
   quic::AckFrame ack;
   ack.ack_delay = delay;
   for (std::uint64_t pn : pns) {
-    ack.ranges.push_back(quic::PnRange{pn, pn});
+    ranges.push_back(quic::PnRange{pn, pn});
     ack.largest_acked = std::max(ack.largest_acked, pn);
   }
+  ack.ranges = TestArena().Copy(ranges.data(), ranges.size());
   return ack;
 }
 
@@ -169,9 +188,7 @@ TEST(SentPacketLedger, OutstandingPnsAscending) {
 TEST(SentPacketLedger, AckRangesCoverOnlyContainedPns) {
   SentPacketLedger ledger;
   for (std::uint64_t pn = 0; pn < 5; ++pn) ledger.OnPacketSent(MakePacket(pn, 0));
-  quic::AckFrame ack;
-  ack.largest_acked = 4;
-  ack.ranges = {quic::PnRange{3, 4}, quic::PnRange{0, 0}};
+  const quic::AckFrame ack = AckWithRanges(4, {quic::PnRange{3, 4}, quic::PnRange{0, 0}});
   const AckResult result = ledger.OnAckReceived(ack, sim::Millis(10));
   EXPECT_EQ(result.newly_acked.size(), 3u);
   EXPECT_TRUE(ledger.IsOutstanding(1));
@@ -183,10 +200,9 @@ TEST(SentPacketLedger, NonCanonicalRangesMatchTheirCanonicalForm) {
   // packet numbers they cover, in ascending order.
   SentPacketLedger ledger;
   for (std::uint64_t pn = 0; pn < 10; ++pn) ledger.OnPacketSent(MakePacket(pn, 0));
-  quic::AckFrame ack;
-  ack.largest_acked = 8;
-  ack.ranges = {quic::PnRange{1, 2}, quic::PnRange{7, 8}, quic::PnRange{6, 7},
-                quic::PnRange{5, 3}, quic::PnRange{2, 2}};
+  const quic::AckFrame ack =
+      AckWithRanges(8, {quic::PnRange{1, 2}, quic::PnRange{7, 8}, quic::PnRange{6, 7},
+                        quic::PnRange{5, 3}, quic::PnRange{2, 2}});
   const AckResult result = ledger.OnAckReceived(ack, sim::Millis(10));
   std::vector<std::uint64_t> acked;
   for (const SentPacket& packet : result.newly_acked) acked.push_back(packet.packet_number);
@@ -435,8 +451,15 @@ testing::AssertionResult SameState(const SentPacketLedger& ledger,
 /// ascending (as AckOf builds them), or unordered with overlapping and
 /// inverted extras; a few carry no ranges or a largest_acked that is not
 /// the top range's end.
-quic::AckFrame MakeStreamAck(sim::Rng& rng, std::uint64_t next_pn, std::int64_t lag) {
+quic::AckFrame MakeStreamAck(sim::Rng& rng, std::uint64_t next_pn, std::int64_t lag,
+                             sim::Arena& arena) {
   quic::AckFrame ack;
+  std::vector<quic::PnRange> ranges;
+  // Shapes the list in `ranges`, then places it on `arena`.
+  auto placed = [&]() {
+    ack.ranges = arena.Copy(ranges.data(), ranges.size());
+    return ack;
+  };
   const std::int64_t newest = static_cast<std::int64_t>(next_pn) - 1;
   if (rng.Bernoulli(0.03)) {
     ack.largest_acked = static_cast<std::uint64_t>(std::max<std::int64_t>(0, newest));
@@ -450,40 +473,40 @@ quic::AckFrame MakeStreamAck(sim::Rng& rng, std::uint64_t next_pn, std::int64_t 
   std::int64_t at = top;
   for (std::int64_t n = rng.UniformInt(1, 8); n > 0 && at >= 0; --n) {
     const std::int64_t first = std::max<std::int64_t>(0, at - rng.UniformInt(0, 11));
-    ack.ranges.push_back(
+    ranges.push_back(
         quic::PnRange{static_cast<std::uint64_t>(first), static_cast<std::uint64_t>(at)});
     at = first - 1 - rng.UniformInt(0, 3);
   }
   const double shape = rng.NextDouble();
-  if (shape < 0.55) return ack;  // canonical, as AckManager emits
+  if (shape < 0.55) return placed();  // canonical, as AckManager emits
   if (shape < 0.75) {
-    std::reverse(ack.ranges.begin(), ack.ranges.end());
-    return ack;
+    std::reverse(ranges.begin(), ranges.end());
+    return placed();
   }
   if (shape < 0.95) {
-    const std::size_t base = ack.ranges.size();
+    const std::size_t base = ranges.size();
     for (std::size_t i = 0; i < base; ++i) {
-      const quic::PnRange range = ack.ranges[i];
+      const quic::PnRange range = ranges[i];
       if (rng.Bernoulli(0.5)) {
         const auto span = static_cast<std::int64_t>(range.last - range.first);
-        ack.ranges.push_back(quic::PnRange{
+        ranges.push_back(quic::PnRange{
             range.first + static_cast<std::uint64_t>(rng.UniformInt(0, span)),
             range.last + static_cast<std::uint64_t>(rng.UniformInt(0, 3))});
       }
     }
     if (rng.Bernoulli(0.3)) {
-      ack.ranges.push_back(quic::PnRange{ack.largest_acked + 3, ack.largest_acked});
+      ranges.push_back(quic::PnRange{ack.largest_acked + 3, ack.largest_acked});
     }
-    for (std::size_t i = ack.ranges.size(); i > 1; --i) {
+    for (std::size_t i = ranges.size(); i > 1; --i) {
       const auto other = static_cast<std::size_t>(
           rng.UniformInt(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(ack.ranges[i - 1], ack.ranges[other]);
+      std::swap(ranges[i - 1], ranges[other]);
     }
-    return ack;
+    return placed();
   }
   ack.largest_acked = static_cast<std::uint64_t>(
       std::max<std::int64_t>(0, top + rng.UniformInt(-3, 3)));
-  return ack;
+  return placed();
 }
 
 /// Drives both ledgers through one seeded stream and compares every output
@@ -502,6 +525,8 @@ void ExpectMatchesReference(std::uint64_t seed, std::int64_t lag) {
   sim::Rng probe(seed ^ 0x5eed);
   SentPacketLedger ledger;
   ReferenceLedger reference;
+  // ACK ranges of this stream; valid for all of it, like a run's.
+  sim::Arena arena;
   // Parked frames; reserved up front so the spans stay valid.
   std::vector<quic::Frame> parked;
   parked.reserve(2 * kSteps);
@@ -549,7 +574,7 @@ void ExpectMatchesReference(std::uint64_t seed, std::int64_t lag) {
       reference.OnPacketSent(packet);
     } else if (op < 0.85) {
       const quic::AckFrame ack =
-          rng.Bernoulli(0.05) ? previous_ack : MakeStreamAck(rng, next_pn, lag);
+          rng.Bernoulli(0.05) ? previous_ack : MakeStreamAck(rng, next_pn, lag, arena);
       ledger.OnAckReceivedInto(ack, clock, got);
       reference.OnAckReceivedInto(ack, clock, want);
       ASSERT_TRUE(SameAckResult(got, want)) << "ack at step " << step;

@@ -353,9 +353,9 @@ def check_codec_coverage(files, findings):
 # ---------------------------------------------------------------------------
 
 COUNTER_NAME_RE = re.compile(
-    r"^(sim|quic\.pool|netem|recovery|scan|sweep)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
+    r"^(sim|quic\.pool|quic\.arena|netem|recovery|scan|sweep)\.[a-z0-9_]+(\.[a-z0-9_]+)*$")
 COUNTER_LITERAL_RE = re.compile(
-    r'"((?:sim|quic\.pool|netem|recovery|scan|sweep)\.[a-z0-9_.]+)"')
+    r'"((?:sim|quic\.pool|quic\.arena|netem|recovery|scan|sweep)\.[a-z0-9_.]+)"')
 
 
 def parse_counter_enum(sf):
@@ -405,8 +405,8 @@ def check_telemetry_registry(files, findings):
                 findings.append(Finding(
                     imp.rel, ln, "TL001",
                     f'counter name "{name}" violates the naming policy: '
-                    "dotted lower_snake under sim/quic.pool/netem/recovery/"
-                    "scan/sweep"))
+                    "dotted lower_snake under sim/quic.pool/quic.arena/netem/"
+                    "recovery/scan/sweep"))
     if not registered:
         return
     # Counter-name literals anywhere else must name a registered counter.

@@ -30,10 +30,10 @@ import sys
 FORMAT = "quicer-telemetry-v1"
 
 # Timer-valued counters (micros spent per phase) vary with machine load.
-# Pool counters vary with thread count and shard layout: run contexts are
-# reused thread-locally, so a warm context skips acquires a cold one
-# performs, releases triggered by the next sweep's reset are attributed
-# across sweep boundaries, and high-water marks depend on scheduling. Only
+# Arena placement counters vary with thread count and shard layout: run
+# contexts are reused thread-locally, so whether a placement is served from
+# retained chunks (quic.pool.*_hit) and how many chunk tails a run skips
+# (quic.arena.bytes_highwater) depend on what the context ran before. Only
 # flag those on wall-clock-sized swings, never on exact inequality.
 # Frontend-cache counters are added once per memoised cluster simulation,
 # and every process of a sharded run simulates the clusters its points
@@ -41,7 +41,7 @@ FORMAT = "quicer-telemetry-v1"
 # Everything else — event loop totals, netem enqueues/drops, recovery
 # activity — is determined by the grid alone and must agree exactly.
 TIMER_PREFIXES = ("sweep.",)
-LAYOUT_PREFIXES = ("quic.pool.", "scan.frontend_cache.")
+LAYOUT_PREFIXES = ("quic.pool.", "quic.arena.", "scan.frontend_cache.")
 LAYOUT_SUFFIXES = ("max_queue_pkts", "max_queue_bytes")
 
 
