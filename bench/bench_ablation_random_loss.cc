@@ -4,7 +4,8 @@
 // the stochastic view *would* have reported: averaged over random loss, the
 // instant ACK's help (client-flight losses) and harm (server-flight losses)
 // partially cancel, which is exactly why the paper's per-scenario analysis
-// is needed.
+// is needed. The rates are netem Bernoulli models on the links axis, so the
+// grid is pure scenario data (export-grid / run --grid).
 #include "bench_common.h"
 #include "core/sweep.h"
 #include "registry.h"
@@ -13,23 +14,21 @@ namespace {
 
 using namespace quicer;
 
-core::SweepLoss RandomLoss(const char* label, double rate, sim::Direction direction,
+core::SweepLink RandomLoss(const char* label, double rate, sim::Direction direction,
                            bool both) {
-  core::SweepLoss loss;
+  core::SweepLink link;
   char name[64];
   std::snprintf(name, sizeof(name), "%s %.0f%%", label, rate * 100);
-  loss.label = name;
-  loss.make = [rate, direction, both](const core::ExperimentConfig&) {
-    sim::LossPattern pattern;
-    if (both) {
-      pattern.DropRandom(sim::Direction::kClientToServer, rate);
-      pattern.DropRandom(sim::Direction::kServerToClient, rate);
-    } else {
-      pattern.DropRandom(direction, rate);
-    }
-    return pattern;
-  };
-  return loss;
+  link.label = name;
+  netem::LossModel bernoulli;
+  bernoulli.kind = netem::LossModel::Kind::kBernoulli;
+  bernoulli.rate = rate;
+  if (both) {
+    link.model.loss[netem::kUp] = link.model.loss[netem::kDown] = bernoulli;
+  } else {
+    link.model.loss[static_cast<int>(direction)] = bernoulli;
+  }
+  return link;
 }
 
 }  // namespace
@@ -60,7 +59,7 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
                          quic::ServerBehavior::kInstantAck};
   for (const Section& section : kSections) {
     for (double rate : kRates) {
-      spec.axes.losses.push_back(RandomLoss(section.label, rate, section.direction,
+      spec.axes.links.push_back(RandomLoss(section.label, rate, section.direction,
                                             section.both));
     }
   }
@@ -84,7 +83,7 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
       std::snprintf(label, sizeof(label), "%s %.0f%%", section.label, rate * 100);
       auto cell = [&](quic::ServerBehavior behavior) {
         return result.Find([&](const core::SweepPoint& p) {
-          return p.loss == label && p.config.behavior == behavior;
+          return p.link == label && p.config.behavior == behavior;
         });
       };
       const core::PointSummary* wfc = cell(quic::ServerBehavior::kWaitForCertificate);

@@ -49,6 +49,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -289,6 +290,114 @@ bool ParseRepRange(const std::string& value, quicer::core::SweepShard& shard) {
   shard.rep_begin = static_cast<std::size_t>(begin);
   shard.rep_end = static_cast<std::size_t>(stop);
   return true;
+}
+
+/// How ParseRunOption treated one argument.
+enum class OptionStatus { kTaken, kNotMine, kInvalid };
+
+/// Parses one of the run options the suite and `run --grid` share
+/// (--telemetry, --qlog-dir, --threads, --data-dir, --progress,
+/// --budget-seconds, --shard, --points, --rep-range) into `context` and
+/// `telemetry_path`. On kInvalid the error is already printed.
+OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
+                            std::string& telemetry_path) {
+  if (arg.rfind("--telemetry=", 0) == 0) {
+    telemetry_path = arg.substr(std::strlen("--telemetry="));
+  } else if (arg.rfind("--qlog-dir=", 0) == 0) {
+    context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
+    if (!PrepareQlogDir(context.qlog_dir)) return OptionStatus::kInvalid;
+  } else if (arg.rfind("--threads=", 0) == 0) {
+    // Must be set before the first ThreadPool::Global() use.
+    setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
+  } else if (arg.rfind("--data-dir=", 0) == 0) {
+    const char* dir = arg.c_str() + std::strlen("--data-dir=");
+    // CsvWriter silently deactivates when the directory is missing.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
+      return OptionStatus::kInvalid;
+    }
+    setenv("QUICER_DATA_DIR", dir, 1);
+  } else if (arg == "--progress") {
+    context.progress = true;
+  } else if (arg.rfind("--budget-seconds=", 0) == 0) {
+    context.budget_seconds =
+        std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
+  } else if (arg.rfind("--shard=", 0) == 0) {
+    if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
+      std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
+                   arg.c_str());
+      return OptionStatus::kInvalid;
+    }
+  } else if (arg.rfind("--points=", 0) == 0) {
+    if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
+      std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
+      return OptionStatus::kInvalid;
+    }
+  } else if (arg.rfind("--rep-range=", 0) == 0) {
+    if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
+      std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
+                   " or A: for 'to the end')\n", arg.c_str());
+      return OptionStatus::kInvalid;
+    }
+  } else {
+    return OptionStatus::kNotMine;
+  }
+  return OptionStatus::kTaken;
+}
+
+/// A sharded run's only useful product is its partial-result files; without
+/// a data dir the whole run would be silently discarded. Prints the error
+/// and returns true in that case.
+bool ShardedRunLacksDataDir(const BenchContext& context) {
+  if (context.shard.all() || std::getenv("QUICER_DATA_DIR") != nullptr) return false;
+  std::fprintf(stderr,
+               "--shard/--points/--rep-range produce partial-result files: pass "
+               "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
+  return true;
+}
+
+/// One entry of a timed run: its row in the wall-time table, the bench its
+/// telemetry records name, and the body (returns the exit code).
+struct TimedUnit {
+  std::string label;
+  std::string bench;
+  std::function<int()> run;
+};
+
+/// Starts `context.suite_start`, runs `units` in order, writes the
+/// --telemetry report, and prints the wall-time table: one row per unit
+/// under `column`, then "total (<what>, pool of N threads)". Returns 0 when
+/// every unit succeeded.
+int RunTimed(const std::vector<TimedUnit>& units, BenchContext& context,
+             const std::string& telemetry_path, const char* column, const std::string& what) {
+  std::vector<std::pair<double, int>> timings;  // seconds, exit code; parallel to units
+  context.suite_start = std::chrono::steady_clock::now();
+  if (!telemetry_path.empty()) quicer::obs::EnableProcess();
+  int failures = 0;
+  for (const TimedUnit& unit : units) {
+    quicer::obs::SetCurrentBench(unit.bench);
+    const auto start = std::chrono::steady_clock::now();
+    const int code = unit.run();
+    timings.emplace_back(SecondsSince(start), code);
+    if (code != 0) ++failures;
+  }
+  quicer::obs::SetCurrentBench("");
+  if (!telemetry_path.empty() &&
+      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
+    return 1;
+  }
+
+  std::printf("\n%-24s %10s  %s\n", column, "wall [s]", "status");
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    std::printf("%-24s %10.2f  %s\n", units[i].label.c_str(), timings[i].first,
+                timings[i].second == 0 ? "ok" : "FAILED");
+  }
+  std::printf("%-24s %10.2f  (%s, pool of %u threads)\n", "total",
+              SecondsSince(context.suite_start), what.c_str(),
+              quicer::core::ThreadPool::Global().size());
+  return failures == 0 ? 0 : 1;
 }
 
 using quicer::bench::CapturedSpec;
@@ -542,47 +651,13 @@ int RunGrid(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--grid=", 0) == 0) {
       grid_path = arg.substr(std::strlen("--grid="));
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry="));
-    } else if (arg.rfind("--qlog-dir=", 0) == 0) {
-      context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
-      if (!PrepareQlogDir(context.qlog_dir)) return 2;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
-    } else if (arg.rfind("--data-dir=", 0) == 0) {
-      const char* dir = arg.c_str() + std::strlen("--data-dir=");
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
-        return 2;
-      }
-      setenv("QUICER_DATA_DIR", dir, 1);
-    } else if (arg == "--progress") {
-      context.progress = true;
-    } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-      context.budget_seconds =
-          std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
-        std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--points=", 0) == 0) {
-      if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
-        std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--rep-range=", 0) == 0) {
-      if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
-        std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
-                     " or A: for 'to the end')\n", arg.c_str());
-        return 2;
-      }
     } else {
-      std::fprintf(stderr, "unknown run option '%s'\n", arg.c_str());
-      return 2;
+      const OptionStatus status = ParseRunOption(arg, context, telemetry_path);
+      if (status == OptionStatus::kInvalid) return 2;
+      if (status == OptionStatus::kNotMine) {
+        std::fprintf(stderr, "unknown run option '%s'\n", arg.c_str());
+        return 2;
+      }
     }
   }
   if (grid_path.empty()) {
@@ -600,12 +675,7 @@ int RunGrid(int argc, char** argv) {
     std::fprintf(stderr, "run: %s: %s\n", grid_path.c_str(), error.c_str());
     return 2;
   }
-  if (!context.shard.all() && std::getenv("QUICER_DATA_DIR") == nullptr) {
-    std::fprintf(stderr,
-                 "--shard/--points/--rep-range produce partial-result files: pass "
-                 "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
-    return 2;
-  }
+  if (ShardedRunLacksDataDir(context)) return 2;
   // --points ids must exist in some scenario's grid.
   for (std::size_t id : context.shard.points) {
     bool known = false;
@@ -621,41 +691,18 @@ int RunGrid(int argc, char** argv) {
     }
   }
 
-  struct Timing {
-    std::string sweep;
-    double seconds;
-    int exit_code;
-  };
-  std::vector<Timing> timings;
-  context.suite_start = std::chrono::steady_clock::now();
-  if (!telemetry_path.empty()) quicer::obs::EnableProcess();
-  int failures = 0;
+  std::vector<TimedUnit> units;
   for (const GridScenario& entry : plan->entries) {
-    BenchContext scenario_context = context;
-    scenario_context.sweep_filter = entry.scenario.sweep;
-    scenario_context.rewrite =
-        GridRewrite(std::make_shared<quicer::core::Scenario>(entry.scenario));
-    quicer::obs::SetCurrentBench(entry.scenario.bench);
-    const auto start = std::chrono::steady_clock::now();
-    const int code = quicer::bench::RunByName(entry.scenario.bench, scenario_context);
-    timings.push_back({entry.scenario.sweep, SecondsSince(start), code});
-    if (code != 0) ++failures;
+    units.push_back({entry.scenario.sweep, entry.scenario.bench, [&context, &entry] {
+                       BenchContext scenario_context = context;
+                       scenario_context.sweep_filter = entry.scenario.sweep;
+                       scenario_context.rewrite = GridRewrite(
+                           std::make_shared<quicer::core::Scenario>(entry.scenario));
+                       return quicer::bench::RunByName(entry.scenario.bench, scenario_context);
+                     }});
   }
-  quicer::obs::SetCurrentBench("");
-  if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
-    return 1;
-  }
-
-  std::printf("\n%-24s %10s  %s\n", "sweep", "wall [s]", "status");
-  for (const Timing& timing : timings) {
-    std::printf("%-24s %10.2f  %s\n", timing.sweep.c_str(), timing.seconds,
-                timing.exit_code == 0 ? "ok" : "FAILED");
-  }
-  std::printf("%-24s %10.2f  (%zu scenarios from '%s', pool of %u threads)\n", "total",
-              SecondsSince(context.suite_start), timings.size(), grid_path.c_str(),
-              quicer::core::ThreadPool::Global().size());
-  return failures == 0 ? 0 : 1;
+  return RunTimed(units, context, telemetry_path, "sweep",
+                  std::to_string(units.size()) + " scenarios from '" + grid_path + "'");
 }
 
 int RunSchema() {
@@ -1105,62 +1152,16 @@ int main(int argc, char** argv) {
       list = true;
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(std::strlen("--filter="));
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry="));
-    } else if (arg.rfind("--qlog-dir=", 0) == 0) {
-      context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
-      if (!PrepareQlogDir(context.qlog_dir)) return 2;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      // Must be set before the first ThreadPool::Global() use.
-      setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
-    } else if (arg.rfind("--data-dir=", 0) == 0) {
-      const char* dir = arg.c_str() + std::strlen("--data-dir=");
-      // CsvWriter silently deactivates when the directory is missing.
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
-        return 2;
-      }
-      setenv("QUICER_DATA_DIR", dir, 1);
     } else if (arg.rfind("--scale=", 0) == 0) {
       const long parsed = std::strtol(arg.c_str() + std::strlen("--scale="), nullptr, 10);
       context.scale = parsed >= 1 ? static_cast<int>(parsed) : 1;
-    } else if (arg == "--progress") {
-      context.progress = true;
-    } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-      context.budget_seconds =
-          std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
-        std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--points=", 0) == 0) {
-      if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
-        std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--rep-range=", 0) == 0) {
-      if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
-        std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
-                     " or A: for 'to the end')\n", arg.c_str());
-        return 2;
-      }
     } else {
-      return Usage(argv[0]);
+      const OptionStatus status = ParseRunOption(arg, context, telemetry_path);
+      if (status == OptionStatus::kInvalid) return 2;
+      if (status == OptionStatus::kNotMine) return Usage(argv[0]);
     }
   }
-
-  // A sharded run's only useful product is its partial-result files; without
-  // a data dir the whole run would be silently discarded.
-  if (!context.shard.all() && std::getenv("QUICER_DATA_DIR") == nullptr) {
-    std::fprintf(stderr,
-                 "--shard/--points/--rep-range produce partial-result files: pass "
-                 "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
-    return 2;
-  }
+  if (ShardedRunLacksDataDir(context)) return 2;
 
   const std::vector<BenchInfo> selected = Registry::Instance().Match(filter);
   if (list) {
@@ -1178,35 +1179,10 @@ int main(int argc, char** argv) {
     if (invalid != 0) return invalid;
   }
 
-  struct Timing {
-    std::string name;
-    double seconds;
-    int exit_code;
-  };
-  std::vector<Timing> timings;
-  context.suite_start = std::chrono::steady_clock::now();
-  if (!telemetry_path.empty()) quicer::obs::EnableProcess();
-  int failures = 0;
+  std::vector<TimedUnit> units;
   for (const BenchInfo& bench : selected) {
-    quicer::obs::SetCurrentBench(bench.name);
-    const auto start = std::chrono::steady_clock::now();
-    const int code = bench.run(context);
-    timings.push_back({bench.name, SecondsSince(start), code});
-    if (code != 0) ++failures;
+    units.push_back({bench.name, bench.name, [&context, &bench] { return bench.run(context); }});
   }
-  quicer::obs::SetCurrentBench("");
-  if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
-    return 1;
-  }
-
-  std::printf("\n%-24s %10s  %s\n", "bench", "wall [s]", "status");
-  for (const Timing& timing : timings) {
-    std::printf("%-24s %10.2f  %s\n", timing.name.c_str(), timing.seconds,
-                timing.exit_code == 0 ? "ok" : "FAILED");
-  }
-  std::printf("%-24s %10.2f  (%zu benches, pool of %u threads)\n", "total",
-              SecondsSince(context.suite_start), timings.size(),
-              quicer::core::ThreadPool::Global().size());
-  return failures == 0 ? 0 : 1;
+  return RunTimed(units, context, telemetry_path, "bench",
+                  std::to_string(units.size()) + " benches");
 }

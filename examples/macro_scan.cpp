@@ -7,9 +7,9 @@
 #include <cstdlib>
 #include <map>
 
+#include "core/report.h"
 #include "scan/population.h"
 #include "scan/prober.h"
-#include "stats/histogram.h"
 #include "stats/stats.h"
 
 using namespace quicer;
@@ -46,11 +46,10 @@ int main(int argc, char** argv) {
   }
 
   if (!cloudflare_delays.empty()) {
-    std::printf("\nCloudflare ACK->ServerHello delay (median %.1f ms):\n",
+    std::printf("\nCloudflare ACK->ServerHello delay (median %.1f ms, '|'):\n",
                 stats::Median(cloudflare_delays));
-    stats::Histogram histogram(0.0, 12.0, 24);
-    for (double d : cloudflare_delays) histogram.Add(d);
-    std::printf("%s", histogram.Render(48).c_str());
+    std::printf("  0 ms [%s] 12 ms\n",
+                core::RenderScatter(cloudflare_delays, 0.0, 12.0, 48).c_str());
   }
   return 0;
 }

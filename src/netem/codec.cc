@@ -76,6 +76,9 @@ bool ParseLossModel(const JsonValue& v, const std::string& path, LossModel& out,
       }
     }
     if (!have_rate) return Fail(error, kind_path, "misses 'rate'");
+    if (out.rate == 0.0) {
+      return Fail(error, kind_path + ".rate", "a zero rate never drops; omit the loss model");
+    }
     return true;
   }
   if (kind == "gilbert") {
@@ -102,6 +105,12 @@ bool ParseLossModel(const JsonValue& v, const std::string& path, LossModel& out,
       }
     }
     if (!have_p || !have_r) return Fail(error, kind_path, "misses 'p' and/or 'r'");
+    // The chain starts in the good state: with loss_good 0 it drops only if
+    // it can reach the bad state (p > 0) and the bad state drops.
+    if (out.loss_good == 0.0 && (out.p == 0.0 || out.loss_bad == 0.0)) {
+      return Fail(error, kind_path,
+                  "never drops (loss_good is 0 and p or loss_bad is 0); omit the loss model");
+    }
     return true;
   }
   return Fail(error, path, "unknown loss kind '" + kind + "' (known: bernoulli, gilbert)");

@@ -44,7 +44,7 @@ std::uint64_t Link::Send(Direction direction, std::size_t bytes, DeliverFn deliv
   ++stats.datagrams_sent;
   stats.bytes_sent += bytes;
 
-  if (loss_.ShouldDrop(direction, index, queue_.now(), rng_)) {
+  if (loss_.ShouldDrop(direction, index)) {
     ++stats.datagrams_dropped;
     ++stats.dropped_pattern;
     obs::Count(static_cast<obs::Counter>(obs::kNetemDropPatternUp + dir));

@@ -6,10 +6,11 @@
 // opaque: the sender passes the datagram size plus a delivery closure, so the
 // link has no dependency on the QUIC layer.
 //
-// The path is composed from netem models (Config::model): per-direction
-// stochastic loss (Bernoulli / Gilbert–Elliott) layered after the
-// deterministic patterns, a bounded FIFO bottleneck queue with tail-drop
-// AQM instead of the free transmitter-busy clock, and per-direction
+// Every datagram passes one loss pipeline: the index pattern (sim::LossPattern,
+// the paper's §3 drops) first, then the direction's netem loss process
+// (Bernoulli / Gilbert–Elliott, from Config::model) — the only source of
+// stochastic loss — then the bottleneck queue (the free transmitter-busy
+// clock, or a bounded tail-drop FIFO). The model also carries per-direction
 // overrides of bandwidth / one-way delay / jitter. The default model
 // reproduces the legacy symmetric pipe bit for bit — same arithmetic, same
 // RNG draws.

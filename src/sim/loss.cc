@@ -7,26 +7,6 @@ LossPattern& LossPattern::DropIndices(Direction direction, std::initializer_list
   return *this;
 }
 
-LossPattern& LossPattern::DropRandom(Direction direction, double rate) {
-  random_rate_[static_cast<int>(direction)] = rate;
-  return *this;
-}
-
-LossPattern& LossPattern::DropWindow(Direction direction, Time start, Time end) {
-  windows_[static_cast<int>(direction)].emplace_back(start, end);
-  return *this;
-}
-
-bool LossPattern::ShouldDrop(Direction direction, std::uint64_t index, Time now,
-                             Rng& rng) const {
-  if (indexed_.count({direction, static_cast<int>(index)}) != 0) return true;
-  for (const auto& [start, end] : windows_[static_cast<int>(direction)]) {
-    if (now >= start && now < end) return true;
-  }
-  const double rate = random_rate_[static_cast<int>(direction)];
-  return rate > 0.0 && rng.Bernoulli(rate);
-}
-
 std::size_t LossPattern::IndexedDropCount(Direction direction) const {
   std::size_t n = 0;
   for (const auto& [dir, index] : indexed_) {

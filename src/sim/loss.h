@@ -3,18 +3,15 @@
 // The paper (§3) deliberately avoids stochastic loss: it drops *specific*
 // UDP datagrams (by per-direction index) so that root causes can be traced.
 // LossPattern reproduces that: indices are 1-based counts of datagrams sent
-// in one direction since connection start. A stochastic mode is also
-// provided for robustness tests.
+// in one direction since connection start. Stochastic loss is a netem
+// model (netem::LossModel, ExperimentConfig::link), which the link applies
+// after these index drops.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <set>
 #include <utility>
-#include <vector>
-
-#include "sim/rng.h"
-#include "sim/time.h"
 
 namespace quicer::sim {
 
@@ -41,37 +38,20 @@ class LossPattern {
     return *this;
   }
 
-  /// Adds independent random loss with probability `rate` per datagram in
-  /// `direction` (applied on top of any indexed drops).
-  LossPattern& DropRandom(Direction direction, double rate);
-
-  /// Drops every datagram sent in `direction` during [start, end) — a path
-  /// blackout (persistent-congestion scenarios).
-  LossPattern& DropWindow(Direction direction, Time start, Time end);
-
-  /// Returns true if the `index`-th datagram (1-based) sent at `now` in
-  /// `direction` must be dropped. `rng` is only consulted when random loss
-  /// is configured.
-  bool ShouldDrop(Direction direction, std::uint64_t index, Time now, Rng& rng) const;
-
-  /// Back-compat overload for time-independent patterns (now = 0).
-  bool ShouldDrop(Direction direction, std::uint64_t index, Rng& rng) const {
-    return ShouldDrop(direction, index, 0, rng);
+  /// Returns true if the `index`-th datagram (1-based) sent in `direction`
+  /// must be dropped.
+  bool ShouldDrop(Direction direction, std::uint64_t index) const {
+    return indexed_.count({direction, static_cast<int>(index)}) != 0;
   }
 
   /// True if no drops are configured at all.
-  bool empty() const {
-    return indexed_.empty() && random_rate_[0] == 0.0 && random_rate_[1] == 0.0 &&
-           windows_[0].empty() && windows_[1].empty();
-  }
+  bool empty() const { return indexed_.empty(); }
 
   /// Number of indexed drops configured for `direction`.
   std::size_t IndexedDropCount(Direction direction) const;
 
  private:
   std::set<std::pair<Direction, int>> indexed_;
-  double random_rate_[2] = {0.0, 0.0};
-  std::vector<std::pair<Time, Time>> windows_[2];
 };
 
 }  // namespace quicer::sim

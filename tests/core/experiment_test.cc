@@ -22,9 +22,7 @@ TEST(Experiment, LinkStatsPopulated) {
 
 TEST(Experiment, TimeLimitRespected) {
   ExperimentConfig config;
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kClientToServer, 1.0);
-  config.loss = pattern;
+  config.link.loss[netem::kUp] = {netem::LossModel::Kind::kBernoulli, 1.0};
   config.time_limit = sim::Seconds(3);
   const ExperimentResult result = RunExperiment(config);
   EXPECT_FALSE(result.completed);

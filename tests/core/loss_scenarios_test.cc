@@ -16,51 +16,47 @@ TEST(LossScenarios, LargeCertFlightIsLonger) {
 
 TEST(LossScenarios, Fig6WfcDropsDatagramTwo) {
   // "loss of packet 2 (WFC)" — the flight tail after the coalesced ACK+SH.
-  sim::Rng rng(1);
   const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kWaitForCertificate,
                                                  tls::kSmallCertificateBytes,
                                                  http::Version::kHttp1);
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3, rng));
+  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1));
+  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2));
+  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3));
   EXPECT_EQ(pattern.IndexedDropCount(sim::Direction::kServerToClient), 1u);
 }
 
 TEST(LossScenarios, Fig6IackDropsDatagramsTwoAndThree) {
   // "loss of packets 2 and 3 (IACK)" — datagram 1 is the instant ACK.
-  sim::Rng rng(1);
   const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kInstantAck,
                                                  tls::kSmallCertificateBytes,
                                                  http::Version::kHttp1);
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 4, rng));
+  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1));
+  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2));
+  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3));
+  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 4));
 }
 
 TEST(LossScenarios, SecondClientFlightFollowsTable4) {
-  sim::Rng rng(1);
   for (clients::ClientImpl impl : clients::kAllClients) {
     const auto pattern = SecondClientFlightLoss(impl);
     const int flight = clients::SecondFlightDatagrams(impl);
-    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, 1, rng))
+    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, 1))
         << clients::Name(impl) << ": the ClientHello must survive";
     for (int i = 2; i <= 1 + flight; ++i) {
       EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kClientToServer,
-                                     static_cast<std::uint64_t>(i), rng))
+                                     static_cast<std::uint64_t>(i)))
           << clients::Name(impl) << " datagram " << i;
     }
     EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer,
-                                    static_cast<std::uint64_t>(flight + 2), rng))
+                                    static_cast<std::uint64_t>(flight + 2)))
         << clients::Name(impl);
   }
 }
 
 TEST(LossScenarios, QuicheSingleDatagramFlight) {
-  sim::Rng rng(1);
   const auto pattern = SecondClientFlightLoss(clients::ClientImpl::kQuiche);
   EXPECT_EQ(pattern.IndexedDropCount(sim::Direction::kClientToServer), 1u);
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kClientToServer, 2, rng));
+  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kClientToServer, 2));
 }
 
 TEST(LossScenarios, PicoquicFourDatagramFlight) {
@@ -69,12 +65,11 @@ TEST(LossScenarios, PicoquicFourDatagramFlight) {
 }
 
 TEST(LossScenarios, ServerSideLossDoesNotTouchClientDirection) {
-  sim::Rng rng(1);
   const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kInstantAck,
                                                  tls::kSmallCertificateBytes,
                                                  http::Version::kHttp1);
   for (std::uint64_t i = 1; i <= 10; ++i) {
-    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, i, rng));
+    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, i));
   }
 }
 

@@ -128,15 +128,14 @@ TEST(Sweep, MedianMatchesCollectTtfbMs) {
 TEST(Sweep, DeterministicAcrossParallelismCaps) {
   SweepSpec spec = SmallSpec();
   // Per-client loss keyed off the resolved config exercises the loss axis;
-  // random loss consults the seeded RNG, so its runs actually diverge.
+  // a netem Bernoulli link consults the seeded RNG, so its runs actually
+  // diverge.
   spec.axes.losses = {{"second-client-flight",
-                       [](const ExperimentConfig& c) { return SecondClientFlightLoss(c.client); }},
-                      {"random", [](const ExperimentConfig&) {
-                         sim::LossPattern loss;
-                         loss.DropRandom(sim::Direction::kServerToClient, 0.08);
-                         loss.DropRandom(sim::Direction::kClientToServer, 0.05);
-                         return loss;
-                       }}};
+                       [](const ExperimentConfig& c) { return SecondClientFlightLoss(c.client); }}};
+  SweepLink random{"random", {}};
+  random.model.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 0.08};
+  random.model.loss[netem::kUp] = {netem::LossModel::Kind::kBernoulli, 0.05};
+  spec.axes.links = {SweepLink{}, random};
   spec.base.time_limit = sim::Seconds(30);
   spec.metrics = {{"response_ttfb_ms", MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
@@ -276,7 +275,7 @@ TEST(Sweep, CustomSeedScheduleMatchesLegacyLoop) {
   SweepSpec spec;
   spec.base.client = clients::ClientImpl::kQuicGo;
   spec.base.response_body_bytes = 4096;
-  spec.base.loss.DropRandom(sim::Direction::kServerToClient, 0.1);
+  spec.base.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 0.1};
   spec.repetitions = 8;
   spec.seed_base = 500;
   spec.seed_stride = 101;

@@ -60,6 +60,9 @@ TEST(LinkModelCodec, GilbertOmitsClassicStateLossRates) {
   ExpectCanonical(
       R"({"loss": {"down": {"gilbert": {"p": 0.05, "r": 0.25, "loss_good": 0.01, "loss_bad": 0.9}}}})",
       R"({"loss": {"down": {"gilbert": {"p": 0.05, "r": 0.25, "loss_good": 0.01, "loss_bad": 0.9}}}})");
+  // A chain that never leaves the good state still drops through loss_good.
+  ExpectCanonical(R"({"loss": {"up": {"gilbert": {"p": 0, "r": 0.5, "loss_good": 0.02}}}})",
+                  R"({"loss": {"up": {"gilbert": {"p": 0, "r": 0.5, "loss_good": 0.02}}}})");
 }
 
 TEST(LinkModelCodec, BothExpandsToUpAndDown) {
@@ -139,6 +142,11 @@ TEST(LinkModelCodec, RejectsInvalidDocuments) {
       {R"({"loss": {"up": {"gilbert": {"p": 0.1}}}})", "r"},
       {R"({"loss": {"up": {"gilbert": {"p": 2, "r": 0.5}}}})", "p"},
       {R"({"loss": {"up": {"gilbert": {"p": 0.1, "r": 0.5, "bogus": 1}}}})", "bogus"},
+      // Models that can never drop would silently relabel the link.
+      {R"({"loss": {"up": {"bernoulli": {"rate": 0}}}})", "loss.up.bernoulli.rate"},
+      {R"({"loss": {"down": {"gilbert": {"p": 0, "r": 0.5}}}})", "loss.down.gilbert"},
+      {R"({"loss": {"both": {"gilbert": {"p": 0.1, "r": 0.5, "loss_bad": 0}}}})",
+       "loss.both.gilbert"},
       {R"({"queue": {"up": {"depth_pkts": -1}}})", "depth_pkts"},
       {R"({"queue": {"up": {"depth_pkts": 1.5}}})", "depth_pkts"},
       {R"({"queue": {"up": {"aqm": "red"}}})", "aqm"},

@@ -26,10 +26,8 @@ TEST(FailureInjection, RandomLossBothDirectionsStillCompletes) {
       config.behavior =
           i % 2 == 0 ? quic::ServerBehavior::kInstantAck : quic::ServerBehavior::kWaitForCertificate;
       config.seed = 100 + static_cast<std::uint64_t>(i);
-      sim::LossPattern pattern;
-      pattern.DropRandom(sim::Direction::kClientToServer, rate);
-      pattern.DropRandom(sim::Direction::kServerToClient, rate);
-      config.loss = pattern;
+      config.link.loss[netem::kUp] = {netem::LossModel::Kind::kBernoulli, rate};
+      config.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, rate};
       const ExperimentResult result = RunExperiment(config);
       if (result.completed) ++completed;
     }
@@ -41,9 +39,7 @@ TEST(FailureInjection, EveryClientSurvivesTenPercentLoss) {
   for (clients::ClientImpl impl : clients::kAllClients) {
     ExperimentConfig config = Robust(impl);
     config.behavior = quic::ServerBehavior::kInstantAck;
-    sim::LossPattern pattern;
-    pattern.DropRandom(sim::Direction::kServerToClient, 0.1);
-    config.loss = pattern;
+    config.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 0.1};
     config.seed = 7;
     const ExperimentResult result = RunExperiment(config);
     // quiche may abort via its CID quirk under retransmissions — a clean
@@ -90,9 +86,7 @@ TEST(FailureInjection, ZeroByteResponseBody) {
 
 TEST(FailureInjection, EverythingLostTimesOutCleanly) {
   ExperimentConfig config = Robust();
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  config.loss = pattern;
+  config.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 1.0};
   config.time_limit = sim::Seconds(10);
   const ExperimentResult result = RunExperiment(config);
   EXPECT_FALSE(result.completed);

@@ -8,10 +8,8 @@ namespace {
 TEST(IdleTimeout, DeadConnectionClosesAtDeadline) {
   ExperimentConfig config;
   config.rtt = sim::Millis(9);
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  pattern.DropRandom(sim::Direction::kClientToServer, 1.0);
-  config.loss = pattern;
+  config.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 1.0};
+  config.link.loss[netem::kUp] = {netem::LossModel::Kind::kBernoulli, 1.0};
   quic::ConnectionConfig client = clients::MakeClientConfig(config.client, config.http);
   client.idle_timeout = sim::Seconds(5);
   config.client_config_override = client;
@@ -41,9 +39,7 @@ TEST(IdleTimeout, ActivityKeepsConnectionAlive) {
 TEST(IdleTimeout, ZeroDisablesTheTimer) {
   ExperimentConfig config;
   config.rtt = sim::Millis(9);
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  config.loss = pattern;
+  config.link.loss[netem::kDown] = {netem::LossModel::Kind::kBernoulli, 1.0};
   quic::ConnectionConfig client = clients::MakeClientConfig(config.client, config.http);
   client.idle_timeout = 0;
   config.client_config_override = client;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/loss_scenarios.h"
@@ -96,15 +98,18 @@ TEST(PersistentCongestion, DurationIsThreePtoPeriods) {
 TEST(PersistentCongestion, LongBlackoutTriggersDeclaration) {
   // Black out the path for 1.2 s mid-transfer: every packet and probe in
   // the window is lost, so the loss span far exceeds the persistent-
-  // congestion duration (3x PTO).
+  // congestion duration (3x PTO). The index ranges are exactly the
+  // datagrams this run sends during [100 ms, 1300 ms): client->server
+  // 43..82 and server->client 147..161.
   ExperimentConfig config;
   config.rtt = sim::Millis(10);
   config.response_body_bytes = 256 * 1024;
   config.time_limit = sim::Seconds(60);
-  sim::LossPattern pattern;
-  pattern.DropWindow(sim::Direction::kServerToClient, sim::Millis(100), sim::Millis(1300));
-  pattern.DropWindow(sim::Direction::kClientToServer, sim::Millis(100), sim::Millis(1300));
-  config.loss = pattern;
+  std::vector<int> up(40), down(15);
+  std::iota(up.begin(), up.end(), 43);
+  std::iota(down.begin(), down.end(), 147);
+  config.loss.DropIndexRange(sim::Direction::kClientToServer, up)
+      .DropIndexRange(sim::Direction::kServerToClient, down);
   bool declared = false;
   const ExperimentResult result = RunExperiment(
       config, [&](const quic::ClientConnection&, const quic::ServerConnection& server) {
@@ -114,6 +119,8 @@ TEST(PersistentCongestion, LongBlackoutTriggersDeclaration) {
       });
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(declared);
+  EXPECT_EQ(result.client_to_server.datagrams_dropped, 40u);
+  EXPECT_EQ(result.server_to_client.datagrams_dropped, 15u);
 }
 
 // ---------- HTTP/3 variants of the loss scenarios ----------

@@ -7,71 +7,38 @@ namespace {
 
 TEST(LossPattern, DefaultDropsNothing) {
   LossPattern pattern;
-  Rng rng(1);
   EXPECT_TRUE(pattern.empty());
   for (std::uint64_t i = 1; i <= 100; ++i) {
-    EXPECT_FALSE(pattern.ShouldDrop(Direction::kClientToServer, i, rng));
-    EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, i, rng));
+    EXPECT_FALSE(pattern.ShouldDrop(Direction::kClientToServer, i));
+    EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, i));
   }
 }
 
 TEST(LossPattern, DropsConfiguredIndicesOnly) {
   LossPattern pattern;
   pattern.DropIndices(Direction::kServerToClient, {2, 3});
-  Rng rng(1);
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 2, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 3, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 4, rng));
+  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 1));
+  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 2));
+  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 3));
+  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 4));
 }
 
 TEST(LossPattern, DirectionsAreIndependent) {
   LossPattern pattern;
   pattern.DropIndices(Direction::kClientToServer, {2});
-  Rng rng(1);
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, 2, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 2, rng));
+  EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, 2));
+  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 2));
 }
 
 TEST(LossPattern, DropIndexRangeFromContainer) {
   LossPattern pattern;
   std::vector<int> indices{4, 5, 6};
   pattern.DropIndexRange(Direction::kClientToServer, indices);
-  Rng rng(1);
   for (int i : indices) {
-    EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, static_cast<std::uint64_t>(i), rng));
+    EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, static_cast<std::uint64_t>(i)));
   }
   EXPECT_EQ(pattern.IndexedDropCount(Direction::kClientToServer), 3u);
   EXPECT_EQ(pattern.IndexedDropCount(Direction::kServerToClient), 0u);
-}
-
-TEST(LossPattern, RandomRateDropsApproximatelyThatShare) {
-  LossPattern pattern;
-  pattern.DropRandom(Direction::kClientToServer, 0.25);
-  Rng rng(99);
-  int drops = 0;
-  const int n = 100000;
-  for (int i = 1; i <= n; ++i) {
-    if (pattern.ShouldDrop(Direction::kClientToServer, static_cast<std::uint64_t>(i), rng)) {
-      ++drops;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / n, 0.25, 0.01);
-}
-
-TEST(LossPattern, RandomRateZeroNeverDrops) {
-  LossPattern pattern;
-  pattern.DropRandom(Direction::kClientToServer, 0.0);
-  EXPECT_TRUE(pattern.empty());
-}
-
-TEST(LossPattern, IndexedAndRandomCombine) {
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kClientToServer, {1});
-  pattern.DropRandom(Direction::kClientToServer, 0.0);
-  Rng rng(1);
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, 1, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kClientToServer, 2, rng));
 }
 
 }  // namespace
