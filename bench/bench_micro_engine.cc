@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "recovery/rtt_estimator.h"
 #include "recovery/sent_packets.h"
 #include "scan/frontend_cache.h"
+#include "scan/sweep_runners.h"
 #include "sim/arena.h"
 #include "sim/event_queue.h"
 
@@ -229,6 +231,34 @@ void BM_RunSweepCheapRunner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RunSweepCheapRunner);
+
+void BM_ProbeRunnerRepetition(benchmark::State& state) {
+  // scan::ProbeRunner + MatchPointCdn over the five Fig 8 CDN points ×
+  // 16384 repetitions of a fixed population at parallelism 1: a scan
+  // repetition through the sweep engine, filtered skips (most of them) and
+  // probes alike, reported per repetition.
+  constexpr std::size_t kRepetitions = 16384;
+  const std::vector<scan::Cdn> cdns = {scan::Cdn::kAkamai, scan::Cdn::kAmazon,
+                                       scan::Cdn::kCloudflare, scan::Cdn::kGoogle,
+                                       scan::Cdn::kOthers};
+  core::SweepSpec spec;
+  spec.name = "micro_probe_runner";
+  spec.axes.extras = {scan::CdnAxis(cdns)};
+  spec.repetitions = static_cast<int>(kRepetitions);
+  spec.metrics = {{"ack_sh_delay_ms", core::MetricMode::kTrace, /*exclude_negative=*/false,
+                   nullptr}};
+  spec.runner = scan::ProbeRunner(
+      std::make_shared<const scan::TrancoPopulation>(kRepetitions, 3), /*prober_seed=*/11,
+      scan::MatchPointCdn(),
+      {[](const core::SweepPoint&, const scan::Domain&, const scan::ProbeResult& r) {
+        if (!r.success || (!r.iack_observed && !r.coalesced)) return core::NoSample();
+        return r.ack_sh_delay_ms;
+      }});
+  while (state.KeepRunningBatch(cdns.size() * kRepetitions)) {
+    benchmark::DoNotOptimize(core::RunSweep(spec, /*max_parallelism=*/1));
+  }
+}
+BENCHMARK(BM_ProbeRunnerRepetition);
 
 }  // namespace
 

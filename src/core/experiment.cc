@@ -8,7 +8,14 @@
 namespace quicer::core {
 namespace {
 
-quic::ConnectionConfig BuildClientConfig(const ExperimentConfig& config) {
+/// Packet events are recorded only when the run has a reader for them — a
+/// qlog capture, or an inspect hook — and not for inspected bulk transfers,
+/// to keep memory bounded. Nothing in ExperimentResult reads them.
+bool CapturePackets(const ExperimentConfig& config, bool inspected) {
+  return config.capture_qlog || (inspected && config.response_body_bytes <= 1024 * 1024);
+}
+
+quic::ConnectionConfig BuildClientConfig(const ExperimentConfig& config, bool inspected) {
   quic::ConnectionConfig client =
       config.client_config_override.has_value()
           ? *config.client_config_override
@@ -16,8 +23,7 @@ quic::ConnectionConfig BuildClientConfig(const ExperimentConfig& config) {
   client.tls.certificate = config.certificate_bytes;
   client.http_version = config.http;
   client.probe_with_data = config.client_probe_with_data;
-  // Packet capture is disabled for bulk transfers to keep memory bounded.
-  if (config.response_body_bytes > 1024 * 1024) client.trace.capture_packets = false;
+  if (!CapturePackets(config, inspected)) client.trace.capture_packets = false;
   if (config.capture_qlog) {
     client.trace.capture_packets = true;
     client.trace.capture_events = true;
@@ -25,7 +31,7 @@ quic::ConnectionConfig BuildClientConfig(const ExperimentConfig& config) {
   return client;
 }
 
-quic::ServerConfig BuildServerConfig(const ExperimentConfig& config) {
+quic::ServerConfig BuildServerConfig(const ExperimentConfig& config, bool inspected) {
   quic::ServerConfig server;
   server.behavior = config.behavior;
   server.send_retry = config.mode == HandshakeMode::kRetry;
@@ -43,11 +49,8 @@ quic::ServerConfig BuildServerConfig(const ExperimentConfig& config) {
   server.cert_store.cached = config.cert_cached;
   server.signing = config.signing;
   server.response_body_bytes = config.response_body_bytes;
-  if (config.response_body_bytes > 1024 * 1024) server.base.trace.capture_packets = false;
-  if (config.capture_qlog) {
-    server.base.trace.capture_packets = true;
-    server.base.trace.capture_events = true;
-  }
+  server.base.trace.capture_packets = CapturePackets(config, inspected);
+  server.base.trace.capture_events = config.capture_qlog;
   return server;
 }
 
@@ -105,7 +108,8 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
   }
   sim::Link& link = *link_;
 
-  quic::ClientConfig client_config{BuildClientConfig(config)};
+  const bool inspected = static_cast<bool>(inspect);
+  quic::ClientConfig client_config{BuildClientConfig(config, inspected)};
   client_config.enable_0rtt = config.mode == HandshakeMode::k0Rtt;
   client_config.use_retry_as_rtt_sample = config.client_use_retry_rtt_sample;
   if (client_.has_value()) {
@@ -114,9 +118,9 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
     client_.emplace(queue, client_config, rng.Fork(2), &arena_);
   }
   if (server_.has_value()) {
-    server_->ResetForRun(BuildServerConfig(config), rng.Fork(3));
+    server_->ResetForRun(BuildServerConfig(config, inspected), rng.Fork(3));
   } else {
-    server_.emplace(queue, BuildServerConfig(config), rng.Fork(3), &arena_);
+    server_.emplace(queue, BuildServerConfig(config, inspected), rng.Fork(3), &arena_);
   }
 
   quic::ClientConnection* client_ptr = &*client_;

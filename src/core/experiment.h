@@ -154,7 +154,8 @@ class RunContext {
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 /// Runs a single experiment and lets `inspect` examine the live endpoints
-/// before teardown.
+/// before teardown. Packet events (Trace::packets) are recorded only for
+/// such inspected runs of at most 1 MiB of body, and for qlog captures.
 ExperimentResult RunExperiment(
     const ExperimentConfig& config,
     const std::function<void(const quic::ClientConnection&, const quic::ServerConnection&)>&

@@ -443,9 +443,11 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   // decision: 0 = undecided, 1 = run, 2 = budget-skipped. The first block
   // of a point to arrive decides for the whole point, so a budget expiry
   // never leaves a partially-run point behind (and skipped points never
-  // allocate slots).
+  // allocate slots). The runner's per-point memo lives and dies with the
+  // slots.
   struct PointState {
     std::vector<double> slots;
+    PointMemo memo;
     std::once_flag init;
     std::atomic<std::size_t> remaining{0};
     std::atomic<int> decision{0};
@@ -502,7 +504,8 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
           for (std::size_t r = first; r < first + len; ++r) {
             const std::size_t rep = win_begin + r;
             SweepRunContext ctx{summary.point, static_cast<int>(rep),
-                                seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride};
+                                seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride,
+                                state.memo};
             const std::vector<double> values = runner(ctx);
             for (std::size_t m = 0; m < n_metrics; ++m) {
               state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
@@ -534,6 +537,7 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
           }
           state.slots.clear();
           state.slots.shrink_to_fit();
+          state.memo.Release();
 
           std::lock_guard<std::mutex> lock(progress_mutex);
           ++progress.points_completed;

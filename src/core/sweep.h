@@ -50,6 +50,7 @@
 //    cross-process merging (the bench_suite --shard / merge workflow).
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -59,6 +60,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/experiment.h"
@@ -223,6 +225,46 @@ struct SweepPoint {
   std::string Key() const;
 };
 
+/// A per-point memo owned by RunSweep: one slot per selected point, shared
+/// by every block of that point on any lane. A runner keeps there what it
+/// would otherwise work out again on every repetition — a point's resolved
+/// extras, a simulation the point's repetitions share — so a repetition
+/// reads it back with one acquire load.
+///
+/// Contract, the same as for runners: the value may depend only on the
+/// point. Get's `make` runs at most once per (RunSweep call, point), on
+/// whichever lane asks first; concurrent callers wait for it (call_once) and
+/// then read the same value. A second RunSweep of the same spec computes
+/// afresh, and the slot is released when the point's last block folds. A
+/// runner stores one value type per memo: Get does not check it.
+class PointMemo {
+ public:
+  template <typename Make>
+  const std::decay_t<std::invoke_result_t<Make&>>& Get(Make&& make) {
+    using T = std::decay_t<std::invoke_result_t<Make&>>;
+    if (const void* ready = ready_.load(std::memory_order_acquire)) {
+      return *static_cast<const T*>(ready);
+    }
+    std::call_once(once_, [&] {
+      auto value = std::make_shared<const T>(make());
+      value_ = value;
+      ready_.store(value.get(), std::memory_order_release);
+    });
+    return *static_cast<const T*>(value_.get());
+  }
+
+  /// Frees the value. Only once no repetition of the point can still run.
+  void Release() {
+    ready_.store(nullptr, std::memory_order_relaxed);
+    value_.reset();
+  }
+
+ private:
+  std::once_flag once_;
+  std::shared_ptr<const void> value_;
+  std::atomic<const void*> ready_{nullptr};
+};
+
 /// Everything a runner needs to produce one repetition of one point.
 struct SweepRunContext {
   const SweepPoint& point;
@@ -230,6 +272,8 @@ struct SweepRunContext {
   /// seed_base + repetition * seed_stride — what the default runner assigns
   /// to the experiment config.
   std::uint64_t seed = 0;
+  /// The point's memo for this RunSweep call (see PointMemo).
+  PointMemo& memo;
 };
 
 /// Produces one repetition's metric values, aligned positionally with
@@ -501,8 +545,9 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
 /// RNG seeds) — never on the triggering repetition — so the set of keys
 /// actually computed, which depends on the shard, cannot change any
 /// outcome. The caching study keys one cluster simulation per (capacity,
-/// ttl) pair shared by its domain points; scan::StudyRunner keys one
-/// Cloudflare study per point.
+/// ttl) pair shared by its domain points. State shared only by one point's
+/// repetitions belongs in SweepRunContext::memo instead, which needs no
+/// lock or map lookup per repetition.
 template <typename Outcome, typename Key>
 SweepRunner KeyedOutcomeRunner(
     std::function<Key(const SweepRunContext&)> key_of,

@@ -4,14 +4,6 @@
 
 namespace quicer::qlog {
 
-void Trace::RecordPacket(const PacketEvent& event) {
-  if (!config_.capture_packets) return;
-  // One up-front reservation sized for a typical handshake+transfer replaces
-  // the half-dozen geometric regrowths the hot path used to pay.
-  if (packets_.capacity() == 0) packets_.reserve(64);
-  packets_.push_back(event);
-}
-
 void Trace::RecordMetrics(const MetricsUpdate& update) {
   MetricsUpdate stored = update;
   stored.rtt_var_logged = config_.logs_rttvar;

@@ -121,7 +121,15 @@ class Trace {
   /// note slots keep their string buffers and are overwritten in place.
   void Reset(TraceConfig config, sim::Rng rng);
 
-  void RecordPacket(const PacketEvent& event);
+  /// Records a packet event when capture_packets is on (single branch
+  /// otherwise — callers emit unconditionally).
+  void RecordPacket(const PacketEvent& event) {
+    if (!config_.capture_packets) return;
+    // One up-front reservation sized for a typical handshake+transfer
+    // replaces the half-dozen geometric regrowths of the first run.
+    if (packets_.capacity() == 0) packets_.reserve(64);
+    packets_.push_back(event);
+  }
 
   /// Records a metrics update, subject to the exposure probability. Two
   /// consecutive identical updates are deduplicated, mirroring the paper's

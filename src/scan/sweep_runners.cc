@@ -51,28 +51,32 @@ std::uint64_t PointDay(const core::SweepPoint& point) {
   return value != nullptr ? static_cast<std::uint64_t>(value->value) : 0;
 }
 
-ProbeFilter MatchPointCdn() {
-  return [](const core::SweepPoint& point, const Domain& domain) {
-    const std::optional<Cdn> cdn = PointCdn(point);
-    return !cdn.has_value() || domain.cdn == *cdn;
-  };
-}
+ProbeFilter MatchPointCdn() { return PointCdn; }
 
 core::SweepRunner ProbeRunner(std::shared_ptr<const TrancoPopulation> population,
                               std::uint64_t prober_seed, ProbeFilter filter,
                               std::vector<ProbeMetricFn> metrics) {
-  return [population = std::move(population), prober_seed, filter = std::move(filter),
+  // What a point's repetitions share, resolved from its extras once.
+  struct Plan {
+    std::optional<Cdn> cdn;  // admitted CDN; nullopt admits every domain
+    Vantage vantage = Vantage::kSaoPaulo;
+    std::uint64_t day = 0;
+  };
+  return [population = std::move(population), prober = Prober(prober_seed),
+          filter = std::move(filter),
           metrics = std::move(metrics)](const core::SweepRunContext& ctx) {
     std::vector<double> values(metrics.size(), core::NoSample());
     const auto& domains = population->domains();
     const std::size_t index = static_cast<std::size_t>(ctx.repetition);
     if (index >= domains.size()) return values;
+    const Plan& plan = ctx.memo.Get([&] {
+      return Plan{filter ? filter(ctx.point) : std::nullopt, PointVantage(ctx.point),
+                  PointDay(ctx.point)};
+    });
     const Domain& domain = domains[index];
-    if (filter && !filter(ctx.point, domain)) return values;
+    if (plan.cdn.has_value() && domain.cdn != *plan.cdn) return values;
 
-    const Prober prober(prober_seed);
-    const ProbeResult result =
-        prober.Probe(domain, PointVantage(ctx.point), PointDay(ctx.point));
+    const ProbeResult result = prober.Probe(domain, plan.vantage, plan.day);
     for (std::size_t m = 0; m < metrics.size(); ++m) {
       values[m] = metrics[m](ctx.point, domain, result);
     }
@@ -83,28 +87,21 @@ core::SweepRunner ProbeRunner(std::shared_ptr<const TrancoPopulation> population
 core::SweepRunner StudyRunner(
     std::function<CloudflareStudyConfig(const core::SweepPoint&)> make_config,
     std::vector<StudyMetricFn> metrics) {
-  // One study per point, shared by its repetitions: the generic keyed memo
-  // (per-key once_flag) keyed by the stable point id. The config depends
-  // only on the point, so the outcome depends only on the key, as the memo
-  // requires.
-  return core::KeyedOutcomeRunner<StudyOutcome, std::size_t>(
-      [](const core::SweepRunContext& ctx) { return ctx.point.index; },
-      [make_config = std::move(make_config)](const std::size_t&,
-                                             const core::SweepRunContext& ctx) {
-        StudyOutcome outcome;
-        outcome.points = RunCloudflareStudy(make_config(ctx.point));
-        outcome.summary = SummarizeStudy(outcome.points);
-        return outcome;
-      },
-      [metrics = std::move(metrics)](const StudyOutcome& outcome,
-                                     const core::SweepRunContext& ctx) {
-        std::vector<double> values;
-        values.reserve(metrics.size());
-        for (const StudyMetricFn& metric : metrics) {
-          values.push_back(metric(outcome, ctx));
-        }
-        return values;
-      });
+  return [make_config = std::move(make_config),
+          metrics = std::move(metrics)](const core::SweepRunContext& ctx) {
+    const StudyOutcome& outcome = ctx.memo.Get([&] {
+      StudyOutcome study;
+      study.points = RunCloudflareStudy(make_config(ctx.point));
+      study.summary = SummarizeStudy(study.points);
+      return study;
+    });
+    std::vector<double> values;
+    values.reserve(metrics.size());
+    for (const StudyMetricFn& metric : metrics) {
+      values.push_back(metric(outcome, ctx));
+    }
+    return values;
+  };
 }
 
 }  // namespace quicer::scan

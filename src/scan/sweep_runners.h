@@ -6,8 +6,9 @@
 //
 // Conventions: scan dimensions ride on the generic SweepExtraAxis mechanism
 // under the canonical axis names "vantage", "cdn" and "day" (the axis
-// factories below). A runner reads the point's extras; absent axes fall back
-// to São Paulo / day 0, the paper's main vantage.
+// factories below). The runners below read a point's extras once per point,
+// into the point's memo (core::PointMemo), not once per repetition; absent
+// axes fall back to São Paulo / day 0, the paper's main vantage.
 #pragma once
 
 #include <functional>
@@ -40,13 +41,14 @@ std::optional<Cdn> PointCdn(const core::SweepPoint& point);
 /// The point's day ("day" extra), or 0.
 std::uint64_t PointDay(const core::SweepPoint& point);
 
-/// Decides whether a domain participates in a point's repetitions at all
-/// (false = every metric records "no sample" and the probe is skipped, which
-/// is what keeps a CDN axis as cheap as the legacy single-pass loops).
-using ProbeFilter = std::function<bool(const core::SweepPoint&, const Domain&)>;
+/// The CDN a point admits: only domains hosted by it are probed, every
+/// other repetition records "no sample" for every metric and skips the
+/// probe, which is what keeps a CDN axis as cheap as the legacy single-pass
+/// loops. nullopt (or a null filter) admits every domain. Called once per
+/// point, so a filtered repetition costs one CDN compare.
+using ProbeFilter = std::function<std::optional<Cdn>(const core::SweepPoint&)>;
 
-/// Filter: only domains hosted by the point's "cdn" extra (pass-through
-/// when the axis is absent).
+/// Filter: the point's "cdn" extra (every domain when the axis is absent).
 ProbeFilter MatchPointCdn();
 
 /// Extracts one metric value from one probe. Return core::NoSample() to
@@ -56,7 +58,8 @@ using ProbeMetricFn =
 
 /// Runner: repetition r probes population->domains()[r] from the point's
 /// vantage/day extras and applies the per-metric extractors (aligned with
-/// the spec's MetricSpec set). Use repetitions == population->size(); the
+/// the spec's MetricSpec set). The admitted CDN, vantage and day are
+/// resolved once per point. Use repetitions == population->size(); the
 /// trace of a metric then follows population rank order, exactly like the
 /// legacy per-domain loops.
 core::SweepRunner ProbeRunner(std::shared_ptr<const TrancoPopulation> population,
@@ -77,8 +80,9 @@ using StudyMetricFn =
     std::function<double(const StudyOutcome&, const core::SweepRunContext&)>;
 
 /// Runner: lazily runs RunCloudflareStudy(make_config(point)) once per point
-/// (memoized; concurrent repetitions of the point share the outcome) and
-/// applies the per-metric extractors.
+/// (in the point's memo; concurrent repetitions of the point share the
+/// outcome) and applies the per-metric extractors. make_config may depend
+/// only on the point.
 core::SweepRunner StudyRunner(
     std::function<CloudflareStudyConfig(const core::SweepPoint&)> make_config,
     std::vector<StudyMetricFn> metrics);

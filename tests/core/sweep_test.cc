@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "core/csv.h"
 #include "core/loss_scenarios.h"
@@ -463,6 +466,40 @@ TEST(Sweep, BlockScheduledRepetitionsMatchDirectLoop) {
           << "point " << i << " cap " << cap;
       EXPECT_EQ(got_summary->summary.Summarize().mean, summary.Summarize().mean) << cap;
       EXPECT_EQ(got_trace->trace, trace) << "point " << i << " cap " << cap;
+    }
+  }
+}
+
+// The per-point memo: its make runs once per (RunSweep call, point) while
+// the point's blocks run on several lanes, every repetition of a point reads
+// that point's value, and a second RunSweep of the same spec computes afresh.
+TEST(Sweep, PointMemoComputesOncePerPointPerRun) {
+  constexpr std::size_t kPoints = 6;
+  std::array<std::atomic<int>, kPoints> makes{};
+  SweepSpec spec;
+  spec.name = "memo_test";
+  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}, {"f", 6}}}};
+  spec.repetitions = 3000;  // tens of blocks per point at 4 lanes
+  spec.metrics = {{"value", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  spec.runner = [&](const SweepRunContext& ctx) {
+    const std::int64_t& value = ctx.memo.Get([&] {
+      // Widens the window in which other lanes reach the same point.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ++makes[ctx.point.index];
+      return ctx.point.Extra("k")->value * 10;
+    });
+    return std::vector<double>{static_cast<double>(value)};
+  };
+
+  for (int run = 1; run <= 2; ++run) {
+    const SweepResult result = RunSweep(spec, /*max_parallelism=*/4);
+    ASSERT_EQ(result.points.size(), kPoints);
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      EXPECT_EQ(makes[i].load(), run) << "point " << i << " run " << run;
+      const stats::Accumulator& values = result.points[i].values();
+      EXPECT_EQ(values.count(), 3000u);
+      EXPECT_EQ(values.min(), static_cast<double>((i + 1) * 10)) << i;
+      EXPECT_EQ(values.max(), static_cast<double>((i + 1) * 10)) << i;
     }
   }
 }
