@@ -21,8 +21,7 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult ttfb = core::RunSweep(spec);
+  bench::Scale(spec, ctx);
 
   core::SweepSpec pto_spec = spec;
   pto_spec.name = "ablation_0rtt_retry_pto";
@@ -31,7 +30,6 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
                        [](const core::ExperimentResult& r) {
                          return sim::ToMillis(r.client.first_pto_period);
                        }}};
-  const core::SweepResult first_pto = core::RunSweep(pto_spec);
 
   // Retry as the client's first RTT estimate, Δt = 100 ms, WFC only: the
   // retry-sample flag is not a first-class axis, so it sweeps as a variant.
@@ -46,9 +44,11 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
       {"no-retry-rtt-sample",
        [](core::ExperimentConfig& c) { c.client_use_retry_rtt_sample = false; }}};
   retry_spec.repetitions = bench::kRepetitions;
-  bench::Tune(retry_spec, ctx);
-  const core::SweepResult retry = core::RunSweep(retry_spec);
-  if (bench::AnyPartialExported({&ttfb, &first_pto, &retry})) return 0;
+  bench::Scale(retry_spec, ctx);
+  const auto ttfb = bench::Run(spec, ctx);
+  const auto first_pto = bench::Run(pto_spec, ctx);
+  const auto retry = bench::Run(retry_spec, ctx);
+  if (!ttfb || !first_pto || !retry) return 0;
 
   std::printf("%10s  %12s  %12s  %16s  %16s\n", "handshake", "WFC TTFB", "IACK TTFB",
               "WFC 1st PTO", "IACK 1st PTO");
@@ -61,15 +61,15 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
     };
     std::printf("%10s  %12.1f  %12.1f  %16.1f  %16.1f\n",
                 std::string(core::ToString(mode)).c_str(),
-                median(ttfb, quic::ServerBehavior::kWaitForCertificate),
-                median(ttfb, quic::ServerBehavior::kInstantAck),
-                median(first_pto, quic::ServerBehavior::kWaitForCertificate),
-                median(first_pto, quic::ServerBehavior::kInstantAck));
+                median(*ttfb, quic::ServerBehavior::kWaitForCertificate),
+                median(*ttfb, quic::ServerBehavior::kInstantAck),
+                median(*first_pto, quic::ServerBehavior::kWaitForCertificate),
+                median(*first_pto, quic::ServerBehavior::kInstantAck));
   }
 
   core::PrintHeading("Retry as first RTT estimate (delta_t = 100 ms, WFC)");
   auto variant_median = [&](const std::string& label) {
-    return retry.Find([&](const core::SweepPoint& p) { return p.variant == label; })
+    return retry->Find([&](const core::SweepPoint& p) { return p.variant == label; })
         ->MedianOrNegative();
   };
   std::printf("with Retry RTT sample:    TTFB %7.1f ms\n", variant_median("retry-rtt-sample"));
@@ -80,8 +80,5 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
               "benefit; a Retry costs ~1 RTT but validates the address (no amplification\n"
               "blocking) and can seed an accurate first RTT estimate, after which the\n"
               "instant ACK still reduces the RTT variance (paper §5).\n");
-  core::MaybeWriteSweepData(ttfb);
-  core::MaybeWriteSweepData(first_pto);
-  core::MaybeWriteSweepData(retry);
   return 0;
 }

@@ -67,20 +67,18 @@ QUICER_BENCH("ablation_ackdelay_strategies",
                                sim::ToMillis(result.first_pto_iack),
                                result.clamped_to_min_rtt ? 1.0 : 0.0};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   core::PrintHeading("First-PTO by strategy (RTT 9 ms, delta_t 4 ms)");
   std::printf("%22s  %18s  %18s  %10s\n", "reported ACK Delay", "WFC first PTO [ms]",
               "IACK first PTO [ms]", "clamped");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     std::printf("%22s  %18.1f  %18.1f  %10s\n", summary.point.Extra("case")->label.c_str(),
                 summary.Metric("first_pto_wfc_ms")->summary.mean(),
                 summary.Metric("first_pto_iack_ms")->summary.mean(),
                 summary.Metric("clamped")->summary.mean() > 0 ? "yes" : "no");
   }
-  core::MaybeWriteSweepData(result);
   return 0;
 }
 
@@ -101,18 +99,17 @@ QUICER_BENCH("ablation_ackdelay_tuning",
       {"client probes resend ClientHello",
        [](core::ExperimentConfig& c) { c.client_probe_with_data = true; }}};
   spec.repetitions = 15;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   core::PrintHeading("Section 5 tuning knobs (large cert, delta_t 200 ms, 9 ms RTT, IACK)");
   std::printf("%34s  %12s\n", "variant", "TTFB [ms]");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     std::printf("%34s  %12.1f\n", summary.point.variant.c_str(), summary.MedianOrNegative());
   }
   std::printf("\nA padded instant ACK spends 1200 B of the 3x budget, which can delay the\n"
               "flight (the paper's caution); ClientHello-retransmitting probes help the\n"
               "server rebuild state faster after loss.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

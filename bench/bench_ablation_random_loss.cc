@@ -71,9 +71,9 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
                    [](const core::ExperimentResult& r) {
                      return r.completed ? r.TtfbMs() : -1.0;
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (const Section& section : kSections) {
     core::PrintHeading(section.title);
@@ -82,7 +82,7 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
       char label[64];
       std::snprintf(label, sizeof(label), "%s %.0f%%", section.label, rate * 100);
       auto cell = [&](quic::ServerBehavior behavior) {
-        return result.Find([&](const core::SweepPoint& p) {
+        return result->Find([&](const core::SweepPoint& p) {
           return p.link == label && p.config.behavior == behavior;
         });
       };
@@ -98,6 +98,5 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
   std::printf("\nShape check: under random loss the WFC/IACK medians blur together — the\n"
               "per-flight deterministic scenarios (Fig 6/7) are what isolate the instant\n"
               "ACK's distinct help/harm mechanisms.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

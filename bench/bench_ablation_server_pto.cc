@@ -37,8 +37,7 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
                        }},
                       {"none", nullptr}};
   spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult ttfb = core::RunSweep(spec);
+  bench::Scale(spec, ctx);
 
   core::SweepSpec spurious_spec = spec;
   spurious_spec.name = "ablation_server_pto_spurious";
@@ -49,8 +48,9 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
          return static_cast<double>(r.client.spurious_retransmits +
                                     r.server.spurious_retransmits);
        }}};
-  const core::SweepResult spurious = core::RunSweep(spurious_spec);
-  if (bench::AnyPartialExported({&ttfb, &spurious})) return 0;
+  const auto ttfb = bench::Run(spec, ctx);
+  const auto spurious = bench::Run(spurious_spec, ctx);
+  if (!ttfb || !spurious) return 0;
 
   std::printf("%16s  %22s  %22s  %10s\n", "server PTO [ms]", "TTFB, flight lost [ms]",
               "TTFB, no loss [ms]", "spurious");
@@ -63,15 +63,13 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
       });
     };
     std::printf("%16.0f  %22.1f  %22.1f  %10.0f\n", pto_ms,
-                cell(ttfb, "first-server-flight-tail")->MedianOrNegative(),
-                cell(ttfb, "none")->MedianOrNegative(),
-                cell(spurious, "first-server-flight-tail")->values().Median() +
-                    cell(spurious, "none")->values().Median());
+                cell(*ttfb, "first-server-flight-tail")->MedianOrNegative(),
+                cell(*ttfb, "none")->MedianOrNegative(),
+                cell(*spurious, "first-server-flight-tail")->values().Median() +
+                    cell(*spurious, "none")->values().Median());
   }
   std::printf("\nShape check: lowering the default PTO speeds up recovery roughly linearly\n"
               "(the Fig 6 penalty tracks the default PTO) until it under-runs the true RTT\n"
               "and spurious retransmissions appear.\n");
-  core::MaybeWriteSweepData(ttfb);
-  core::MaybeWriteSweepData(spurious);
   return 0;
 }

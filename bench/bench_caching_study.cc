@@ -156,13 +156,12 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
         const auto d = static_cast<std::size_t>(run.point.Extra("domain")->value);
         return std::vector<double>{100.0 * outcome.probe_hits[d] / outcome.probe_total[d]};
       });
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   auto cell = [&](std::int64_t capacity, std::int64_t ttl_s, std::int64_t machines,
                   std::int64_t probe_rate, int domain) {
-    return result.Find([&](const core::SweepPoint& p) {
+    return result->Find([&](const core::SweepPoint& p) {
       return p.Extra("cache_capacity")->value == capacity &&
              p.Extra("cache_ttl_s")->value == ttl_s &&
              p.Extra("frontends_per_cluster")->value == machines &&
@@ -227,6 +226,5 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
               "traffic on fewer machines, so even cold domains warm up; on large\n"
               "clusters only a fast probe stream lifts its own hit share (the paper's\n"
               "60/min observation), and popular domains stay hot regardless.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

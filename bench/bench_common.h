@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,32 +26,20 @@ struct CapturedSpec {
   std::size_t point_count = 0;
 };
 
-/// Runs the given benches in enumerate-only mode — no experiments, no
-/// exports — capturing every sweep's fully tuned spec and grid size. Bench
-/// bodies still print their human-readable headings, so stdout is parked on
-/// /dev/null for the duration. Shared by bench_suite (export-grid, --grid,
-/// queue-init, --points validation) and the grid round-trip test, so both
-/// see identical capture semantics.
+/// Runs the given benches as an enumerate pass — no experiments, no
+/// exports — capturing every sweep's final spec (as handed to Run) and grid
+/// size. Bench bodies still print their human-readable headings, so stdout
+/// is parked on /dev/null for the duration. Shared by bench_suite
+/// (export-grid, --grid, queue-init, --points validation) and the grid
+/// round-trip test, so both see identical capture semantics.
 inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benches,
                                               int scale) {
   std::vector<CapturedSpec> specs;
   BenchContext context;
   context.scale = scale;
   const std::string* current_bench = nullptr;
-  context.enumerate = [&](const core::SweepSpec& spec, const core::SweepResult& result) {
-    CapturedSpec captured;
-    captured.bench = *current_bench;
-    captured.spec = spec;
-    captured.point_count = result.points.size();
-    // Strip the capture-pass execution state: the copy represents the
-    // sweep's data and closures, not this enumerate run.
-    captured.spec.enumerate_sink = nullptr;
-    captured.spec.observer = nullptr;
-    captured.spec.shard = core::SweepShard{};
-    captured.spec.only_sweep.clear();
-    captured.spec.export_only = false;
-    captured.spec.time_budget_seconds = 0.0;
-    specs.push_back(std::move(captured));
+  context.enumerate = [&](const core::SweepSpec& spec, std::size_t point_count) {
+    specs.push_back({*current_bench, spec, point_count});
   };
 
   std::fflush(stdout);
@@ -75,150 +62,15 @@ inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benc
 /// Repetitions per (client, mode) point. The paper uses 100; 25 keeps every
 /// bench binary comfortably fast while the medians are already stable
 /// (the simulator's only noise sources are signing jitter and quirk draws).
-/// `bench_suite --scale` multiplies this via Tune().
+/// `bench_suite --scale` multiplies this via Scale().
 inline constexpr int kRepetitions = 25;
 
-/// True when a scaled run should also widen its RTT/Δt axes (any --scale
-/// above the CI-friendly default of 1).
-inline bool DenseAxes(const BenchContext& ctx) { return ctx.dense_axes(); }
-
-/// Progress observer printing "points done / total, runs/sec" to stderr
-/// (stdout carries the figure tables).
-inline core::SweepObserver StderrProgress() {
-  return [](const core::SweepProgress& p) {
-    std::fprintf(stderr, "[%.*s] %zu/%zu points, %zu runs, %.0f runs/s%s\n",
-                 static_cast<int>(p.sweep.size()), p.sweep.data(), p.points_completed,
-                 p.points_total, p.runs_completed, p.runs_per_second,
-                 p.points_skipped > 0 ? " (budget: some points skipped)" : "");
-  };
-}
-
-/// Applies the context options every sweep honors, without touching the
-/// repetition count: --progress attaches the stderr observer, --shard /
-/// --points select the grid subset, and --budget-seconds hands the sweep
-/// whatever remains of the suite budget. For runner-based sweeps whose
-/// repetition index is semantic (population rank, study hour) this is the
-/// whole tuning — scale there only via axes.
-inline core::SweepSpec& TuneObserver(core::SweepSpec& spec, const BenchContext& ctx) {
-  if (!spec.observer) {
-    if (ctx.observer && ctx.progress) {
-      spec.observer = [extra = ctx.observer,
-                       stderr_progress = StderrProgress()](const core::SweepProgress& p) {
-        extra(p);
-        stderr_progress(p);
-      };
-    } else if (ctx.observer) {
-      spec.observer = ctx.observer;
-    } else if (ctx.progress) {
-      spec.observer = StderrProgress();
-    }
-  }
-  spec.shard = ctx.shard;
-  spec.only_sweep = ctx.sweep_filter;
-  spec.enumerate_sink = ctx.enumerate;
-  spec.qlog_dir = ctx.qlog_dir;
-  if (ctx.budget_seconds > 0.0 && spec.time_budget_seconds == 0.0) {
-    spec.time_budget_seconds = ctx.RemainingBudgetSeconds();
-  }
-  // The grid rewrite runs last, so a scenario file's data (repetitions,
-  // axes, base config) wins over --scale and the compiled-in grid.
-  if (ctx.rewrite) ctx.rewrite(spec);
-  return spec;
-}
-
-/// Applies the suite-wide options to an *experiment-driven* spec: --scale
-/// additionally multiplies the repetitions.
-inline core::SweepSpec& Tune(core::SweepSpec& spec, const BenchContext& ctx) {
+/// --scale for an *experiment-driven* spec: multiplies its repetitions.
+/// Runner-based sweeps whose repetition index is semantic (population rank,
+/// study hour) skip it and scale only via axes. A spec copied after Scale
+/// keeps the scaled count.
+inline void Scale(core::SweepSpec& spec, const BenchContext& ctx) {
   spec.repetitions *= ctx.scale;
-  return TuneObserver(spec, ctx);
-}
-
-/// Sharded (and budget-clipped) runs export machine-readable data but skip
-/// the bench's human-readable analysis: the tables would be computed from
-/// incomplete series (and trace-indexing rows would read out of bounds).
-/// Call after RunSweep; when it returns true the partial has been exported
-/// and the bench should return 0 without further processing of `result`.
-inline bool PartialExported(const core::SweepResult& result) {
-  // Enumerate-only passes (queue-init, --points validation) produce no data
-  // and must not write or warn; the sink already saw everything. Sweeps
-  // deselected by only_sweep (siblings of a targeted sweep) ran nothing and
-  // write nothing.
-  if (result.enumerate_only || result.deselected) return true;
-  if (!result.partial()) {
-    if (!result.export_only) return false;
-    // A full grid-driven run: export the final data pair but skip the
-    // bench's printed analysis, which may index points a data-defined grid
-    // dropped.
-    if (!core::MaybeWriteSweepData(result)) {
-      std::fprintf(stderr,
-                   "[%s] WARNING: grid-run result NOT exported (set QUICER_DATA_DIR / "
-                   "--data-dir)\n",
-                   result.name.c_str());
-    }
-    std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
-                result.name.c_str(), result.points.size(), result.executed_runs);
-    return true;
-  }
-  const bool wrote = core::MaybeWriteSweepData(result);
-  if (!wrote) {
-    std::fprintf(stderr,
-                 "[%s] WARNING: partial result NOT exported (set QUICER_DATA_DIR / "
-                 "--data-dir); the executed points are lost\n",
-                 result.name.c_str());
-  }
-  for (std::size_t id : result.shard.points) {
-    if (id >= result.points.size()) {
-      std::fprintf(stderr, "[%s] WARNING: --points id %zu exceeds the %zu-point grid\n",
-                   result.name.c_str(), id, result.points.size());
-    }
-  }
-  std::size_t executed = 0;
-  for (const core::PointSummary& summary : result.points) {
-    if (summary.executed) ++executed;
-  }
-  std::printf("[%s] partial run: %zu/%zu points executed — analysis skipped; combine the\n"
-              "partial exports with `bench_suite merge`.\n",
-              result.name.c_str(), executed, result.points.size());
-  return true;
-}
-
-/// Multi-sweep variant of PartialExported: when ANY of a bench's sweeps is
-/// partial, every result is exported (completed sweeps keep their final
-/// exports, partial ones their partial files) and the joint analysis — which
-/// needs all of them complete — is skipped.
-inline bool AnyPartialExported(std::initializer_list<const core::SweepResult*> results) {
-  for (const core::SweepResult* result : results) {
-    if (result->enumerate_only) return true;
-  }
-  bool any = false;
-  bool any_partial = false;
-  for (const core::SweepResult* result : results) {
-    if (result->deselected) {
-      any = true;  // a sibling executed instead; the joint analysis cannot run
-      continue;
-    }
-    any_partial = any_partial || result->partial();
-    any = any || result->partial() || result->export_only;
-  }
-  if (!any) return false;
-  for (const core::SweepResult* result : results) {
-    if (result->deselected) continue;  // nothing ran, nothing to write
-    if (!core::MaybeWriteSweepData(*result)) {
-      std::fprintf(stderr,
-                   "[%s] WARNING: partial result NOT exported (set QUICER_DATA_DIR / "
-                   "--data-dir); the executed points are lost\n",
-                   result->name.c_str());
-    }
-  }
-  if (any_partial) {
-    std::printf("(partial run — analysis skipped; combine the partial exports with "
-                "`bench_suite merge`.)\n");
-  } else {
-    // Full grid-driven runs wrote final exports, not partials — pointing
-    // the user at `merge` would have them feed it non-partial documents.
-    std::printf("(grid run — data exported, analysis skipped.)\n");
-  }
-  return true;
 }
 
 /// WFC/IACK medians of one printed row pair, in ms (negative when all runs

@@ -39,11 +39,10 @@ QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") 
     return std::vector<double>{sim::ToMillis(point.pto_wfc), sim::ToMillis(point.pto_iack),
                                sim::ToMillis(point.pto_wfc - point.pto_iack)};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     const sim::Duration delta = summary.point.config.cert_fetch_delay;
     core::PrintHeading("Client-Frontend RTT " + core::FormatMs(summary.point.config.rtt) +
                        " ms, delta_t " + core::FormatMs(delta) + " ms");
@@ -60,6 +59,5 @@ QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") 
     std::printf("first-PTO improvement: %.2f ms (expected 3 x delta_t = %.2f ms)\n",
                 reduction.front(), 3 * sim::ToMillis(delta));
   }
-  core::MaybeWriteSweepData(result);
   return 0;
 }

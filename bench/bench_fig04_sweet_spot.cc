@@ -30,9 +30,8 @@ QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zon
     return std::vector<double>{point.reduction_rtts,
                                point.spurious_retransmissions ? 1.0 : 0.0};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   // Rows/columns come from the spec's own axes — one source of truth with
   // the enumerated grid.
@@ -46,7 +45,7 @@ QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zon
     std::printf("%10.0f", sim::ToMillis(rtt));
     bool spurious25 = false;
     for (sim::Duration delta : spec.axes.cert_fetch_delays) {
-      const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
+      const core::PointSummary* cell = result->Find([&](const core::SweepPoint& p) {
         return p.config.rtt == rtt && p.config.cert_fetch_delay == delta;
       });
       if (cell == nullptr) {
@@ -60,7 +59,6 @@ QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zon
     }
     std::printf("  %s\n", spurious25 ? "yes" : "no");
   }
-  core::MaybeWriteSweepData(result);
   return 0;
 }
 
@@ -77,17 +75,15 @@ QUICER_BENCH("fig04_zone", "Figure 4: largest spurious-free delta_t per RTT (mod
   spec.runner = [](const core::SweepRunContext& run) {
     return std::vector<double>{sim::ToMillis(core::SpuriousBoundary(run.point.config.rtt))};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   core::PrintHeading("Zone boundary: largest spurious-free delta_t per RTT (3 x RTT)");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     std::printf("  RTT %4.0f ms -> delta_t <= %s ms\n", summary.point.rtt_ms,
                 core::FormatDouble(summary.primary().summary.mean(), 1).c_str());
   }
   std::printf("\nShape check: reduction = 3*delta/RTT (hyperbolic per delta); lower-latency\n"
               "connections profit more, matching the paper's sweet-spot analysis.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

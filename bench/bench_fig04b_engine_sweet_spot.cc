@@ -21,7 +21,7 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
   spec.base.time_limit = sim::Seconds(60);
   spec.axes.rtts = {sim::Millis(2),  sim::Millis(5),  sim::Millis(9), sim::Millis(15),
                     sim::Millis(25), sim::Millis(50), sim::Millis(100)};
-  if (bench::DenseAxes(ctx)) {
+  if (ctx.dense_axes()) {
     spec.axes.rtts.insert(spec.axes.rtts.end(),
                           {sim::Millis(35), sim::Millis(75), sim::Millis(150)});
   }
@@ -35,8 +35,7 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
                    [](const core::ExperimentResult& r) {
                      return sim::ToMillis(r.client.first_pto_period);
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult first_pto = core::RunSweep(spec);
+  bench::Scale(spec, ctx);
 
   core::SweepSpec probes_spec = spec;
   probes_spec.name = "fig04b_probes";
@@ -45,8 +44,9 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
                           /*exclude_negative=*/false, [](const core::ExperimentResult& r) {
                             return static_cast<double>(r.client.pto_expirations);
                           }}};
-  const core::SweepResult probes = core::RunSweep(probes_spec);
-  if (bench::AnyPartialExported({&first_pto, &probes})) return 0;
+  const auto first_pto = bench::Run(spec, ctx);
+  const auto probes = bench::Run(probes_spec, ctx);
+  if (!first_pto || !probes) return 0;
 
   std::printf("%10s", "RTT [ms]");
   for (sim::Duration d : spec.axes.cert_fetch_delays) {
@@ -64,9 +64,9 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
         });
       };
       const double wfc =
-          find(first_pto, quic::ServerBehavior::kWaitForCertificate)->values().Median();
-      const double iack = find(first_pto, quic::ServerBehavior::kInstantAck)->values().Median();
-      const double spurious = find(probes, quic::ServerBehavior::kInstantAck)->values().Median();
+          find(*first_pto, quic::ServerBehavior::kWaitForCertificate)->values().Median();
+      const double iack = find(*first_pto, quic::ServerBehavior::kInstantAck)->values().Median();
+      const double spurious = find(*probes, quic::ServerBehavior::kInstantAck)->values().Median();
       std::printf("   %10.2f  %4.0f", (wfc - iack) / rtt_ms, spurious);
     }
     std::printf("\n");
@@ -74,7 +74,5 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
   std::printf("\nShape check: the measured reduction tracks the model's 3*(delta+proc)/RTT\n"
               "surface; spurious client probes appear exactly where delta_t exceeds the\n"
               "client PTO (3 x RTT) — the Fig 4 zone boundary, measured live.\n");
-  core::MaybeWriteSweepData(first_pto);
-  core::MaybeWriteSweepData(probes);
   return 0;
 }

@@ -28,22 +28,21 @@ QUICER_BENCH("fig05", "Figure 5: TTFB under the amplification limit, WFC vs IACK
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (http::Version version : spec.axes.http_versions) {
     core::PrintHeading(std::string(http::ToString(version)));
     bench::PrintAxis(200, 320);
     for (clients::ClientImpl impl : spec.axes.clients) {
       if (version == http::Version::kHttp3 && !clients::SupportsHttp3(impl)) continue;
-      const auto row = bench::PrintSweepClientRow(result, impl, version, 200, 320);
+      const auto row = bench::PrintSweepClientRow(*result, impl, version, 200, 320);
       if (row.median_wfc > 0 && row.median_iack > 0) {
         std::printf("%10s  IACK improvement: %+.1f ms\n", "",
                     row.median_wfc - row.median_iack);
       }
     }
   }
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -33,13 +33,13 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
   spec.repetitions = bench::kRepetitions;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (clients::ClientImpl impl : spec.axes.clients) {
     auto find = [&](quic::ServerBehavior behavior) {
-      return result.Find([&](const core::SweepPoint& p) {
+      return result->Find([&](const core::SweepPoint& p) {
         return p.config.client == impl && p.config.behavior == behavior;
       });
     };
@@ -60,6 +60,5 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
   }
   std::printf("\nShape check: IACK needs on the order of the server default PTO (200 ms)\n"
               "longer than WFC, matching the paper's ~177-188 ms penalty.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -30,18 +30,17 @@ QUICER_BENCH("fig07", "Figure 7: TTFB under second-client-flight loss") {
   spec.repetitions = bench::kRepetitions;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (clients::ClientImpl impl : spec.axes.clients) {
-    const auto row = bench::PrintSweepClientRow(result, impl, spec.base.http, 40, 620);
+    const auto row = bench::PrintSweepClientRow(*result, impl, spec.base.http, 40, 620);
     if (row.median_wfc > 0 && row.median_iack > 0) {
       std::printf("%10s  IACK improvement: %+.1f ms\n", "", row.median_wfc - row.median_iack);
     }
   }
   std::printf("\nShape check: IACK saves roughly 3x the server processing delay for every\n"
               "client except picoquic (which ignores the Initial-space RTT sample).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -40,11 +40,10 @@ QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)"
         }
         return result.ack_sh_delay_ms;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     const std::vector<double>& delays = summary.primary().trace;
     if (delays.empty()) continue;
     // Median over IACK (non-coalesced) responses only, like the paper's
@@ -64,6 +63,5 @@ QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)"
   }
   std::printf("\nShape check: Akamai clearly slower than the other CDNs to deliver the SH;\n"
               "Cloudflare fastest (median ~3 ms).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

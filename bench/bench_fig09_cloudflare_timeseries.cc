@@ -59,10 +59,9 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
        HourField(&scan::HourlyPoint::median_coalesced_ms),
        HourCount(&scan::HourlyPoint::ack_samples),
        HourCount(&scan::HourlyPoint::coalesced_samples)});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
-  const core::PointSummary& point = result.points.front();
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
+  const core::PointSummary& point = result->points.front();
 
   std::printf("%6s  %10s  %10s  %14s\n", "hour", "ACK [ms]", "SH [ms]", "ACK,SH coal [ms]");
   for (int hour = 0; hour < config.hours; ++hour) {
@@ -95,6 +94,5 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
   std::printf("coalesced share:            %6.1f %%\n", summary.coalesced_share * 100.0);
   std::printf("\nShape check: daytime hours (7-19 local) show larger ACK->SH gaps; coalesced\n"
               "responses track the instant-ACK latency (certificate cached).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -68,14 +68,12 @@ QUICER_BENCH("fig10", "Figure 10: RTT minus reported ACK Delay, coalesced vs ins
          if (!result.success || !result.iack_observed) return core::NoSample();
          return result.rtt_ms - result.reported_ack_delay_ms;
        }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
-  Report(result, "rtt_minus_ackdelay_coalesced", "(a) Coalesced ACK+SH");
-  Report(result, "rtt_minus_ackdelay_iack", "(b) Separate instant ACK");
+  Report(*result, "rtt_minus_ackdelay_coalesced", "(a) Coalesced ACK+SH");
+  Report(*result, "rtt_minus_ackdelay_iack", "(b) Separate instant ACK");
   std::printf("\nShape check: coalesced responses hug/exceed the RTT; only Akamai and\n"
               "Others' IACKs predominantly stay below it.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -36,13 +36,12 @@ QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)"
        }},
       {"completed", core::MetricMode::kSummary, /*exclude_negative=*/false,
        [](const core::ExperimentResult& r) { return r.completed ? 1.0 : 0.0; }}};
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%10s  %22s  %24s  %10s\n", "client", "packets w/ new ACKs",
               "recovery:metric updates", "exposed %");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     const double packets = summary.Metric("packets_with_new_acks")->summary.mean();
     const double updates = summary.Metric("metric_updates")->summary.mean();
     const double exposed = packets == 0 ? 0.0 : 100.0 * updates / packets;
@@ -53,6 +52,5 @@ QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)"
   }
   std::printf("\nShape check: flow-update cadence drives the sample counts (quiche/go-x-net\n"
               "highest); neqo/ngtcp2/picoquic/quic-go expose only a fraction of updates.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -23,7 +23,7 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
   spec.axes.http_versions = {http::Version::kHttp1, http::Version::kHttp3};
   spec.axes.rtts = {sim::Millis(1), sim::Millis(9), sim::Millis(20), sim::Millis(100),
                     sim::Millis(300)};
-  if (bench::DenseAxes(ctx)) {
+  if (ctx.dense_axes()) {
     spec.axes.rtts.insert(spec.axes.rtts.end(), {sim::Millis(50), sim::Millis(200)});
   }
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
@@ -35,9 +35,9 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
   spec.repetitions = 10;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (http::Version version : spec.axes.http_versions) {
     core::PrintHeading(std::string(http::ToString(version)));
@@ -48,7 +48,7 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
       for (clients::ClientImpl impl : spec.axes.clients) {
         if (version == http::Version::kHttp3 && !clients::SupportsHttp3(impl)) continue;
         auto find = [&](quic::ServerBehavior behavior) {
-          return result.Find([&](const core::SweepPoint& p) {
+          return result->Find([&](const core::SweepPoint& p) {
             return p.config.client == impl && p.config.http == version &&
                    p.config.rtt == rtt && p.config.behavior == behavior;
           });
@@ -70,6 +70,5 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
     }
   }
   std::printf("Shape check: IACK improvement roughly constant across RTTs; picoquic flat.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

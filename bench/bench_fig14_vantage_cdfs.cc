@@ -40,15 +40,14 @@ QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points
         if (!result.success || !result.iack_observed) return core::NoSample();
         return result.ack_sh_delay_ms;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   for (scan::Vantage vantage : scan::kAllVantages) {
     core::PrintHeading(std::string(scan::Name(vantage)));
     std::printf("%12s  %8s  %10s  %10s  %10s\n", "CDN", "n", "p25 [ms]", "median", "p75 [ms]");
     for (scan::Cdn cdn : cdns) {
-      const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
+      const core::PointSummary* cell = result->Find([&](const core::SweepPoint& p) {
         return scan::PointVantage(p) == vantage && scan::PointCdn(p) == cdn;
       });
       const std::string name(scan::Name(cdn));
@@ -62,6 +61,5 @@ QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points
     }
   }
   std::printf("\nShape check: per-CDN medians stable across vantage points.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

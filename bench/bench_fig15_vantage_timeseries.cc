@@ -55,13 +55,12 @@ QUICER_BENCH("fig15", "Figure 15: Cloudflare study from four vantage points") {
        SummaryField(&scan::StudySummary::median_gap_ms),
        SummaryField(&scan::StudySummary::coalesced_share),
        SummaryField(&scan::StudySummary::avoided_pto_inflation_ms)});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%16s  %10s  %10s  %10s  %12s  %10s\n", "vantage", "ACK [ms]", "SH [ms]",
               "gap [ms]", "coal. [%]", "3x gap[ms]");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     std::printf("%16s  %10.2f  %10.2f  %10.2f  %12.1f  %10.2f\n",
                 summary.point.Extra("vantage")->label.c_str(),
                 summary.Metric("median_ack_ms")->summary.mean(),
@@ -72,6 +71,5 @@ QUICER_BENCH("fig15", "Figure 15: Cloudflare study from four vantage points") {
   }
   std::printf("\nShape check: consistent ACK->SH gap of a few ms at all locations\n"
               "(paper: 2.1 ms Sao Paulo/Hamburg, 2.4 ms LA, 2.6 ms Hong Kong).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -34,7 +34,7 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   spec.base.time_limit = sim::Seconds(30);
   spec.axes.rtts = {sim::Millis(1),   sim::Millis(9),   sim::Millis(20),  sim::Millis(50),
                     sim::Millis(100), sim::Millis(150), sim::Millis(200), sim::Millis(300)};
-  if (bench::DenseAxes(ctx)) {
+  if (ctx.dense_axes()) {
     spec.axes.rtts.insert(spec.axes.rtts.end(), {sim::Millis(5), sim::Millis(35),
                                                  sim::Millis(75), sim::Millis(250)});
   }
@@ -45,9 +45,9 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   // Raw values (the -1 no-PTO sentinel included), like the legacy loops.
   spec.metrics = {{"first_pto_ms", core::MetricMode::kSummary, /*exclude_negative=*/false,
                    &FirstPtoMs}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%10s", "RTT[ms]");
   for (clients::ClientImpl impl : clients::kAllClients) {
@@ -59,7 +59,7 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
     std::printf("%10.0f", sim::ToMillis(rtt));
     for (clients::ClientImpl impl : clients::kAllClients) {
       auto median = [&](quic::ServerBehavior behavior) {
-        const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
+        const core::PointSummary* cell = result->Find([&](const core::SweepPoint& p) {
           return p.config.client == impl && p.config.rtt == rtt &&
                  p.config.behavior == behavior;
         });
@@ -72,6 +72,5 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   }
   std::printf("\nShape check: per-client improvement approximately constant across RTTs\n"
               "(~3x the server-side processing delay); go-x-net noisy.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -18,9 +18,9 @@ QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.repetitions = 15;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%10s  %10s  %10s  %10s  %10s  %12s\n", "client", "H1/WFC", "H1/IACK", "H3/WFC",
               "H3/IACK", "H3-H1 gap");
@@ -29,7 +29,7 @@ QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
     int cell = 0;
     for (http::Version version : spec.axes.http_versions) {
       for (quic::ServerBehavior behavior : spec.axes.behaviors) {
-        const core::PointSummary* summary = result.Find([&](const core::SweepPoint& p) {
+        const core::PointSummary* summary = result->Find([&](const core::SweepPoint& p) {
           return p.config.client == impl && p.config.http == version &&
                  p.config.behavior == behavior;
         });
@@ -44,6 +44,5 @@ QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
               "client; HTTP/3 sits ~1 RTT below HTTP/1.1 (SETTINGS is the first stream\n"
               "byte). The instant-ACK effects only appear under loss (Fig 6/7) or the\n"
               "anti-amplification limit (Fig 5).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -86,9 +86,9 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
                                 ? -1.0
                                 : sim::ToMillis(r.client.response_complete);
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  bench::Scale(spec, ctx);
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   const char* metric_names[] = {"response_ttfb_ms", "response_complete_ms"};
   const char* metric_titles[] = {"median response TTFB in ms",
@@ -101,7 +101,7 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
         std::printf("%10s  %8s", loss.label, quic::ToString(behavior));
         for (const QueueChoice& queue : queue_axis) {
           const std::string label = std::string(loss.label) + "+" + queue.label;
-          const core::PointSummary* point = result.Find([&](const core::SweepPoint& p) {
+          const core::PointSummary* point = result->Find([&](const core::SweepPoint& p) {
             return p.link == label && p.config.behavior == behavior;
           });
           const core::MetricSeries* series =
@@ -117,6 +117,5 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
               "the response is admitted even to a full-by-tail queue); completion time\n"
               "degrades as the bounded queue clips the server's bursts. The WFC advantage\n"
               "of the deterministic-loss figures persists under stochastic bursts.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

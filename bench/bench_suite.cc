@@ -43,6 +43,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +57,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -250,6 +252,41 @@ int RunMerge(int argc, char** argv) {
   return 0;
 }
 
+/// Parses the value of a numeric `--name=value` option strictly: all of it
+/// must be a number (an integer when T is) in [min, max]. Otherwise prints
+/// why and returns false, and the caller exits 2 — a typo must not quietly
+/// fall back to the default.
+template <typename T>
+bool ParseNumberOption(const std::string& arg, double min, double max, T& out) {
+  constexpr bool kInteger = std::is_integral_v<T>;
+  const char* text = arg.c_str() + arg.find('=') + 1;
+  char* end = nullptr;
+  errno = 0;
+  const double value =
+      kInteger ? static_cast<double>(std::strtoll(text, &end, 10)) : std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !(value >= min && value <= max)) {
+    std::fprintf(stderr, "invalid %s (expected %s in [%g, %g])\n", arg.c_str(),
+                 kInteger ? "an integer" : "a number", min, max);
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
+/// --scale=N: the repetition multiplier.
+bool ParseScale(const std::string& arg, int& scale) {
+  return ParseNumberOption(arg, 1, 10000, scale);
+}
+
+/// --threads=N: sizes the shared pool, which reads QUICER_THREADS on first
+/// use.
+bool ParseThreads(const std::string& arg) {
+  int threads = 0;
+  if (!ParseNumberOption(arg, 1, 1024, threads)) return false;
+  setenv("QUICER_THREADS", std::to_string(threads).c_str(), 1);
+  return true;
+}
+
 bool ParseShard(const std::string& value, quicer::core::SweepShard& shard) {
   const std::size_t slash = value.find('/');
   if (slash == std::string::npos) return false;
@@ -308,7 +345,7 @@ OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
     if (!PrepareQlogDir(context.qlog_dir)) return OptionStatus::kInvalid;
   } else if (arg.rfind("--threads=", 0) == 0) {
     // Must be set before the first ThreadPool::Global() use.
-    setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
+    if (!ParseThreads(arg)) return OptionStatus::kInvalid;
   } else if (arg.rfind("--data-dir=", 0) == 0) {
     const char* dir = arg.c_str() + std::strlen("--data-dir=");
     // CsvWriter silently deactivates when the directory is missing.
@@ -322,8 +359,7 @@ OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
   } else if (arg == "--progress") {
     context.progress = true;
   } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-    context.budget_seconds =
-        std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
+    if (!ParseNumberOption(arg, 0, 1e9, context.budget_seconds)) return OptionStatus::kInvalid;
   } else if (arg.rfind("--shard=", 0) == 0) {
     if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
       std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
@@ -534,29 +570,6 @@ std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
   return plan;
 }
 
-/// The rewrite hook a grid scenario installs: overwrites the matching
-/// sweep's data with the scenario's and flips it to data-export-only mode
-/// (a data-defined grid may drop the points the bench's printed analysis
-/// indexes). Resolution errors deselect the sweep outright — the run then
-/// produces no export for it, which the caller reports.
-std::function<void(quicer::core::SweepSpec&)> GridRewrite(
-    std::shared_ptr<quicer::core::Scenario> scenario) {
-  return [scenario](quicer::core::SweepSpec& spec) {
-    if (spec.name != scenario->sweep) return;
-    std::string error;
-    if (!quicer::core::ApplyScenario(*scenario, spec, &error)) {
-      // Validated at load time; a failure here means the compiled grid
-      // changed under us. Refuse to run anything rather than run the wrong
-      // grid.
-      std::fprintf(stderr, "[%s] grid rewrite failed: %s\n", spec.name.c_str(),
-                   error.c_str());
-      spec.only_sweep = "!grid-rewrite-failed";
-      return;
-    }
-    spec.export_only = true;
-  };
-}
-
 int RunExportGrid(int argc, char** argv) {
   std::vector<std::string> names;
   std::string out_path;
@@ -565,8 +578,7 @@ int RunExportGrid(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--scale=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--scale="), nullptr, 10);
-      scale = parsed >= 1 ? static_cast<int>(parsed) : 1;
+      if (!ParseScale(arg, scale)) return 2;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(std::strlen("--out="));
     } else if (arg == "--check") {
@@ -696,8 +708,8 @@ int RunGrid(int argc, char** argv) {
     units.push_back({entry.scenario.sweep, entry.scenario.bench, [&context, &entry] {
                        BenchContext scenario_context = context;
                        scenario_context.sweep_filter = entry.scenario.sweep;
-                       scenario_context.rewrite = GridRewrite(
-                           std::make_shared<quicer::core::Scenario>(entry.scenario));
+                       scenario_context.scenario =
+                           std::make_shared<const quicer::core::Scenario>(entry.scenario);
                        return quicer::bench::RunByName(entry.scenario.bench, scenario_context);
                      }});
   }
@@ -726,17 +738,10 @@ int RunQueueInit(int argc, char** argv) {
     } else if (arg.rfind("--grid=", 0) == 0) {
       grid_path = arg.substr(std::strlen("--grid="));
     } else if (arg.rfind("--scale=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--scale="), nullptr, 10);
-      scale = parsed >= 1 ? static_cast<int>(parsed) : 1;
+      if (!ParseScale(arg, scale)) return 2;
       scale_given = true;
     } else if (arg.rfind("--unit-runs=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--unit-runs="), nullptr, 10);
-      if (parsed < 1) {
-        std::fprintf(stderr, "invalid --unit-runs '%s' (expected a positive integer)\n",
-                     arg.c_str());
-        return 2;
-      }
-      unit_runs = static_cast<std::size_t>(parsed);
+      if (!ParseNumberOption(arg, 1, 1e9, unit_runs)) return 2;
     } else {
       std::fprintf(stderr, "unknown queue-init option '%s'\n", arg.c_str());
       return 2;
@@ -868,7 +873,7 @@ int RunWorkerCommand(int argc, char** argv) {
     if (arg.rfind("--queue=", 0) == 0) {
       queue_dir = arg.substr(std::strlen("--queue="));
     } else if (arg.rfind("--threads=", 0) == 0) {
-      setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
+      if (!ParseThreads(arg)) return 2;
     } else if (arg.rfind("--worker-id=", 0) == 0) {
       options.worker_id = arg.substr(std::strlen("--worker-id="));
     } else if (arg.rfind("--lease-seconds=", 0) == 0) {
@@ -891,23 +896,9 @@ int RunWorkerCommand(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--max-units=", 0) == 0) {
-      char* end = nullptr;
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--max-units="), &end, 10);
-      if (*end != '\0' || parsed < 0) {
-        std::fprintf(stderr, "invalid --max-units '%s' (expected a non-negative integer)\n",
-                     arg.c_str());
-        return 2;
-      }
-      options.max_units = static_cast<std::size_t>(parsed);
+      if (!ParseNumberOption(arg, 0, 1e9, options.max_units)) return 2;
     } else if (arg.rfind("--retries=", 0) == 0) {
-      char* end = nullptr;
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--retries="), &end, 10);
-      if (*end != '\0' || parsed < 0) {
-        std::fprintf(stderr, "invalid --retries '%s' (expected a non-negative integer)\n",
-                     arg.c_str());
-        return 2;
-      }
-      options.retry_budget = static_cast<std::size_t>(parsed);
+      if (!ParseNumberOption(arg, 0, 1e9, options.retry_budget)) return 2;
     } else if (arg == "--no-wait") {
       options.wait_for_stragglers = false;
     } else if (arg == "--progress") {
@@ -985,8 +976,7 @@ int RunWorkerCommand(int argc, char** argv) {
                      unit.sweep.c_str(), unit.bench.c_str());
         return 1;
       }
-      context.rewrite =
-          GridRewrite(std::make_shared<quicer::core::Scenario>(entry->scenario));
+      context.scenario = std::make_shared<const quicer::core::Scenario>(entry->scenario);
     }
     auto last_beat = std::make_shared<std::chrono::steady_clock::time_point>(
         std::chrono::steady_clock::now());
@@ -1153,8 +1143,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(std::strlen("--filter="));
     } else if (arg.rfind("--scale=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + std::strlen("--scale="), nullptr, 10);
-      context.scale = parsed >= 1 ? static_cast<int>(parsed) : 1;
+      if (!ParseScale(arg, context.scale)) return 2;
     } else {
       const OptionStatus status = ParseRunOption(arg, context, telemetry_path);
       if (status == OptionStatus::kInvalid) return 2;

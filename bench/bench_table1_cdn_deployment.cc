@@ -43,9 +43,8 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
         if (!result.success) return core::NoSample();
         return result.iack_observed ? 1.0 : 0.0;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   struct Row {
     int domains = 0;
@@ -54,7 +53,7 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
   };
   std::map<scan::Cdn, Row> rows;
   for (scan::Cdn cdn : scan::kAllCdns) rows[cdn].domains = population->CountQuic(cdn);
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     if (summary.values().count() == 0) continue;
     const double share = summary.values().mean();
     Row& row = rows[*scan::PointCdn(summary.point)];
@@ -79,6 +78,5 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
   std::printf("\nNote: IACK share counts only *separate* ACKs preceding the SH; cached\n"
               "certificates produce coalesced ACK+SH and lower the observed share for\n"
               "popular domains, as in the paper's Cloudflare analysis.\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

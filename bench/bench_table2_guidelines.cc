@@ -36,7 +36,7 @@ core::SweepSpec BaseSpec(const bench::BenchContext& ctx) {
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.repetitions = 15;
-  bench::Tune(spec, ctx);
+  bench::Scale(spec, ctx);
   return spec;
 }
 
@@ -129,22 +129,19 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
   delay_probes.name = "table2_delay_probes";
   delay_probes.metrics = {ProbesMetricSpec()};
 
-  const core::SweepResult loss_ttfb_r = core::RunSweep(loss_spec);
-  const core::SweepResult loss_probes_r = core::RunSweep(loss_probes);
-  const core::SweepResult delay_ttfb_r = core::RunSweep(delay_spec);
-  const core::SweepResult delay_probes_r = core::RunSweep(delay_probes);
-  if (bench::AnyPartialExported(
-          {&loss_ttfb_r, &loss_probes_r, &delay_ttfb_r, &delay_probes_r})) {
-    return 0;
-  }
+  const auto loss_ttfb_r = bench::Run(loss_spec, ctx);
+  const auto loss_probes_r = bench::Run(loss_probes, ctx);
+  const auto delay_ttfb_r = bench::Run(delay_spec, ctx);
+  const auto delay_probes_r = bench::Run(delay_probes, ctx);
+  if (!loss_ttfb_r || !loss_probes_r || !delay_ttfb_r || !delay_probes_r) return 0;
 
   auto loss_cell = [&](const std::string& label, quic::ServerBehavior behavior) {
-    return Extract(loss_ttfb_r, loss_probes_r,
+    return Extract(*loss_ttfb_r, *loss_probes_r,
                    [&](const core::SweepPoint& p) { return p.loss == label; }, behavior);
   };
   auto delay_cell = [&](std::size_t cert, sim::Duration delta,
                         quic::ServerBehavior behavior) {
-    return Extract(delay_ttfb_r, delay_probes_r,
+    return Extract(*delay_ttfb_r, *delay_probes_r,
                    [&](const core::SweepPoint& p) {
                      return p.certificate_bytes == cert &&
                             p.config.cert_fetch_delay == delta;
@@ -185,9 +182,5 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
               "amplification blocking; the paper derives them analytically (row 2:\n"
               "always IACK). Our engine can measure them too — see EXPERIMENTS.md for\n"
               "the nuance it surfaces (the server-no-sample penalty persists).\n");
-  core::MaybeWriteSweepData(loss_ttfb_r);
-  core::MaybeWriteSweepData(loss_probes_r);
-  core::MaybeWriteSweepData(delay_ttfb_r);
-  core::MaybeWriteSweepData(delay_probes_r);
   return 0;
 }

@@ -44,14 +44,13 @@ QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
     return std::vector<double>{delay(profile.initial_ack_delay),
                                delay(profile.handshake_ack_delay)};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%12s  %16s  %18s\n", "server", "Initial [ms]", "Handshake [ms]");
   int zero_count = 0;
   int no_hs_ack = 0;
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     const auto& initial_trace = summary.Metric("initial_ack_delay_ms")->trace;
     const auto& handshake_trace = summary.Metric("handshake_ack_delay_ms")->trace;
     char initial[32] = "-";
@@ -72,6 +71,5 @@ QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
               "%d send no Handshake-space acknowledgment (paper: 11+); msquic sends no\n"
               "Initial/Handshake ACKs at all; s2n-quic's reported delay exceeds the RTT.\n",
               zero_count, no_hs_ack);
-  core::MaybeWriteSweepData(result);
   return 0;
 }

@@ -28,13 +28,12 @@ QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams"
                    [](const core::ExperimentResult& r) {
                      return static_cast<double>(r.client.datagrams_sent);
                    }}};
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  const auto result = bench::Run(spec, ctx);
+  if (!result) return 0;
 
   std::printf("%10s  %16s  %22s  %24s\n", "client", "default PTO [ms]",
               "second flight datagrams", "observed client datagrams");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : result->points) {
     const clients::ClientImpl impl = summary.point.config.client;
     const int flight = clients::SecondFlightDatagrams(impl);
     char indices[32];
@@ -49,6 +48,5 @@ QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams"
   std::printf("\nImplementations choose far lower default PTOs than the RFC's 999 ms to\n"
               "improve loss recovery; coalescing spreads the second flight over 1-4\n"
               "datagrams (quiche: 1, neqo: 2, picoquic: 4, others: 3).\n");
-  core::MaybeWriteSweepData(result);
   return 0;
 }

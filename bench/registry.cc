@@ -16,6 +16,89 @@ double BenchContext::RemainingBudgetSeconds() const {
   return std::max(1e-3, budget_seconds - elapsed);
 }
 
+namespace {
+
+/// Prints "points done / total, runs/sec" to stderr (stdout carries the
+/// figure tables).
+void PrintProgress(const core::SweepProgress& p) {
+  std::fprintf(stderr, "[%.*s] %zu/%zu points, %zu runs, %.0f runs/s%s\n",
+               static_cast<int>(p.sweep.size()), p.sweep.data(), p.points_completed,
+               p.points_total, p.runs_completed, p.runs_per_second,
+               p.points_skipped > 0 ? " (budget: some points skipped)" : "");
+}
+
+/// The context observer, then the --progress printer.
+core::SweepObserver ObserverOf(const BenchContext& ctx) {
+  if (!ctx.progress) return ctx.observer;
+  if (!ctx.observer) return PrintProgress;
+  return [extra = ctx.observer](const core::SweepProgress& p) {
+    extra(p);
+    PrintProgress(p);
+  };
+}
+
+}  // namespace
+
+std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& ctx) {
+  // A scenario file's data (repetitions, axes, base config) wins over
+  // --scale and the compiled-in grid.
+  const bool grid = ctx.scenario != nullptr && ctx.scenario->sweep == spec.name;
+  if (grid) {
+    std::string error;
+    if (!core::ApplyScenario(*ctx.scenario, spec, &error)) {
+      // Validated at load time; a failure here means the compiled grid
+      // changed under us. Refuse to run anything rather than run the wrong
+      // grid.
+      std::fprintf(stderr, "[%s] grid scenario does not apply, nothing run: %s\n",
+                   spec.name.c_str(), error.c_str());
+      return std::nullopt;
+    }
+  }
+  if (ctx.enumerate) {
+    ctx.enumerate(spec, core::EnumerateCount(spec));
+    return std::nullopt;
+  }
+  if (!ctx.sweep_filter.empty() && ctx.sweep_filter != spec.name) return std::nullopt;
+
+  spec.observer = ObserverOf(ctx);
+  spec.shard = ctx.shard;
+  if (ctx.budget_seconds > 0.0) spec.time_budget_seconds = ctx.RemainingBudgetSeconds();
+  spec.qlog_dir = ctx.qlog_dir;
+  core::SweepResult result = core::RunSweep(spec);
+
+  const bool wrote = core::MaybeWriteSweepData(result);
+  if (!grid && !result.partial()) return result;
+  // Sharded, budget-clipped and grid-driven runs export machine-readable
+  // data but skip the bench's printed analysis: its tables would read
+  // incomplete series, or points a data-defined grid dropped.
+  if (!wrote) {
+    std::fprintf(stderr,
+                 "[%s] WARNING: %s result NOT exported (set QUICER_DATA_DIR / "
+                 "--data-dir)%s\n",
+                 result.name.c_str(), result.partial() ? "partial" : "grid-run",
+                 result.partial() ? "; the executed points are lost" : "");
+  }
+  if (!result.partial()) {
+    std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
+                result.name.c_str(), result.points.size(), result.executed_runs);
+    return std::nullopt;
+  }
+  for (std::size_t id : result.shard.points) {
+    if (id >= result.points.size()) {
+      std::fprintf(stderr, "[%s] WARNING: --points id %zu exceeds the %zu-point grid\n",
+                   result.name.c_str(), id, result.points.size());
+    }
+  }
+  std::size_t executed = 0;
+  for (const core::PointSummary& summary : result.points) {
+    if (summary.executed) ++executed;
+  }
+  std::printf("[%s] partial run: %zu/%zu points executed — analysis skipped; combine the\n"
+              "partial exports with `bench_suite merge`.\n",
+              result.name.c_str(), executed, result.points.size());
+  return std::nullopt;
+}
+
 Registry& Registry::Instance() {
   static Registry* registry = new Registry();  // leaked: outlives static dtors
   return *registry;

@@ -13,8 +13,13 @@
 // A bench file contains one or more registrations:
 //
 //   QUICER_BENCH("fig05", "Figure 5: TTFB under amplification limits") {
-//     ...            // bench body; `ctx` is the BenchContext; returns an
-//   }                // int exit code
+//     core::SweepSpec spec;  // name, axes, repetitions, metrics...
+//     bench::Scale(spec, ctx);
+//     const auto result = bench::Run(spec, ctx);
+//     if (!result) return 0;  // sharded, grid-driven or enumerate pass
+//     ...                     // printed analysis of *result
+//     return 0;
+//   }
 //
 // The bench bodies are compiled once, into an object library that
 // bench_suite and the grid round-trip test link in full, so every static
@@ -23,15 +28,20 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/scenario.h"
 #include "core/sweep.h"
 
 namespace quicer::bench {
 
 /// Suite-wide options handed to every bench body, replacing the former
-/// QUICER_BENCH_SCALE / QUICER_BENCH_PROGRESS environment plumbing.
+/// QUICER_BENCH_SCALE / QUICER_BENCH_PROGRESS environment plumbing. Bench
+/// bodies read only `scale` (via Scale and dense_axes); everything else is
+/// harness state that Run applies to each sweep.
 struct BenchContext {
   /// Repetition multiplier for experiment-driven sweeps (--scale; the
   /// paper's grids correspond to 4). Scaled runs also widen RTT/Δt axes.
@@ -47,24 +57,23 @@ struct BenchContext {
   /// Grid subset this process executes (--shard=i/N, --points=ids and/or
   /// --rep-range=a:b).
   core::SweepShard shard;
-  /// When non-empty, only the sweep with this spec name executes; sibling
-  /// sweeps of the same bench enumerate but select nothing. The work-queue
-  /// worker targets one (bench, sweep) pair per unit.
+  /// When non-empty, only the sweep with this name executes; Run skips its
+  /// sibling sweeps in the same bench. The work-queue worker and `run
+  /// --grid` target one (bench, sweep) pair at a time.
   std::string sweep_filter;
-  /// When set, every sweep enumerates its grid into this sink instead of
-  /// executing (the work-queue init phase and --points validation).
-  core::SweepEnumerateSink enumerate;
+  /// When set, Run executes nothing: it hands every sweep's final spec and
+  /// grid size here instead (the capture pass behind export-grid,
+  /// queue-init and --points validation).
+  std::function<void(const core::SweepSpec&, std::size_t point_count)> enumerate;
   /// Extra per-point observer, chained before the --progress printer. The
   /// work-queue worker refreshes its lease heartbeat here.
   core::SweepObserver observer;
-  /// When set, applied to every tuned spec right before execution (after
-  /// --scale and the other context options). The --grid workflow overwrites
-  /// the compiled-in grid data with a scenario file's here — the hook
-  /// itself decides which sweep names it touches.
-  std::function<void(core::SweepSpec&)> rewrite;
+  /// A grid scenario (--grid): Run overwrites the compiled-in data of the
+  /// sweep it names with the scenario's, and exports that sweep without the
+  /// bench's printed analysis.
+  std::shared_ptr<const core::Scenario> scenario;
   /// When non-empty, every run of every executed sweep writes its qlog
-  /// trace pair under this directory (--qlog-dir; forwarded into
-  /// SweepSpec::qlog_dir by the context tuner).
+  /// trace pair under this directory (--qlog-dir).
   std::string qlog_dir;
 
   /// True when a scaled run should also widen its RTT/Δt axes.
@@ -74,6 +83,21 @@ struct BenchContext {
   /// budget-skip all of their points instead of running unbounded.
   double RemainingBudgetSeconds() const;
 };
+
+/// Runs one sweep of a bench body under the suite options — the only way a
+/// bench executes a sweep. Pass the spec with its final name. In order:
+///  1. a `ctx.scenario` naming this sweep overwrites its grid data (a
+///     scenario that no longer applies runs and exports nothing);
+///  2. an enumerate pass hands the spec and its grid size to
+///     `ctx.enumerate` and stops;
+///  3. a sibling of `ctx.sweep_filter` stops without running;
+///  4. the observer, shard, remaining budget and qlog dir are attached;
+///  5. core::RunSweep executes the selected subset;
+///  6. the exports are written (the final pair, or a partial file) with
+///     the partial-run and grid-run notes.
+/// Returns the result only when the bench's printed analysis may read it: a
+/// full run of the compiled-in grid. Otherwise the bench returns 0.
+std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& ctx);
 
 struct BenchInfo {
   std::string name;         // machine name, e.g. "fig05"

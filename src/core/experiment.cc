@@ -240,16 +240,4 @@ std::vector<double> CollectTtfbMs(ExperimentConfig config, int repetitions) {
   return valid;
 }
 
-std::vector<double> CollectResponseTtfbMs(ExperimentConfig config, int repetitions) {
-  std::vector<double> all =
-      RunRepetitions(std::move(config), repetitions,
-                     [](const ExperimentResult& r) { return r.ResponseTtfbMs(); });
-  std::vector<double> valid;
-  valid.reserve(all.size());
-  for (double v : all) {
-    if (v >= 0) valid.push_back(v);
-  }
-  return valid;
-}
-
 }  // namespace quicer::core

@@ -168,7 +168,4 @@ std::vector<double> RunRepetitions(ExperimentConfig config, int repetitions,
 /// Convenience: TTFB in ms across repetitions (aborted runs excluded).
 std::vector<double> CollectTtfbMs(ExperimentConfig config, int repetitions);
 
-/// Response-stream TTFB in ms across repetitions (the loss-figure metric).
-std::vector<double> CollectResponseTtfbMs(ExperimentConfig config, int repetitions);
-
 }  // namespace quicer::core

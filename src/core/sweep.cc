@@ -325,22 +325,13 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   result.reservoir_capacity = spec.reservoir_capacity;
   result.seed_base = spec.seed_base != 0 ? spec.seed_base : spec.base.seed;
   result.seed_stride = spec.seed_stride;
-  result.export_only = spec.export_only;
-  result.deselected = !spec.only_sweep.empty() && spec.only_sweep != spec.name;
   result.spec_hash = ScenarioHash(spec);
-
-  // A deselected sweep (the sibling of an only_sweep target) runs nothing
-  // and exports nothing, so it must not pay the enumerate pass either: a
-  // grid run re-enters each bench once per scenario, and every sibling
-  // sweep enumerating its full grid each time adds up. Enumerate-sink
-  // passes still enumerate — the sink is the point of those runs.
-  if (result.deselected && !spec.enumerate_sink) return result;
 
   // Telemetry bracket: attribute everything from here to the end-of-sweep
   // snapshot to this sweep. Sweeps never overlap within a process (benches
   // run serially; RunSweep itself is the parallel unit), so a process-wide
   // reset per sweep is sound.
-  const bool telemetry = obs::ProcessEnabled() && !spec.enumerate_sink;
+  const bool telemetry = obs::ProcessEnabled();
   if (telemetry) {
     obs::EnsureThisThread();
     obs::ResetAll();
@@ -369,22 +360,13 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
     result.points.push_back(std::move(summary));
   }
 
-  if (spec.enumerate_sink) {
-    result.enumerate_only = true;
-    spec.enumerate_sink(spec, result);
-    return result;
-  }
-
   // The execute phase covers only the shard's points; the others keep their
   // metadata and empty series (executed == false) so partial files carry
-  // the full grid for merge-time validation. A unit targeted at a sibling
-  // sweep of the same bench (only_sweep mismatch) selects nothing.
+  // the full grid for merge-time validation.
   std::vector<std::size_t> selected;
-  if (spec.only_sweep.empty() || spec.only_sweep == spec.name) {
-    selected.reserve(result.points.size());
-    for (std::size_t i = 0; i < result.points.size(); ++i) {
-      if (spec.shard.Contains(i)) selected.push_back(i);
-    }
+  selected.reserve(result.points.size());
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    if (spec.shard.Contains(i)) selected.push_back(i);
   }
 
   const std::size_t reps =

@@ -298,13 +298,6 @@ struct SweepProgress {
 /// concurrently), from whichever worker finished the point.
 using SweepObserver = std::function<void(const SweepProgress&)>;
 
-struct SweepSpec;
-struct SweepResult;
-
-/// Receives the enumerated (but unexecuted) result when a spec carries an
-/// enumerate_sink; see SweepSpec::enumerate_sink.
-using SweepEnumerateSink = std::function<void(const SweepSpec&, const SweepResult&)>;
-
 struct SweepSpec {
   /// Short machine name ("fig05", "table2_probes"); names CSV/JSON output.
   std::string name;
@@ -348,26 +341,6 @@ struct SweepSpec {
   /// outside the shard stay in the result with their metadata but empty
   /// series and executed == false.
   SweepShard shard;
-
-  /// When non-empty and different from `name`, RunSweep executes nothing:
-  /// the grid is enumerated (metadata intact) but no point is selected. The
-  /// work-queue worker targets one sweep of a bench per unit; sibling
-  /// sweeps of the same bench body — including specs *copied* from a tuned
-  /// one, which inherit this field — must not execute.
-  std::string only_sweep;
-
-  /// When set, RunSweep enumerates the grid, hands (spec, result) to the
-  /// sink and returns without executing anything (the returned result has
-  /// enumerate_only set). The work-queue init phase uses this to learn
-  /// every bench's grids — point counts, repetitions, sweep names —
-  /// without running a single experiment.
-  SweepEnumerateSink enumerate_sink;
-
-  /// When true, the bench should export machine-readable data and skip its
-  /// human-readable analysis even for a full (unsharded) run. The --grid
-  /// workflow sets this: a data-defined grid may drop the very points a
-  /// bench's printed tables index.
-  bool export_only = false;
 
   /// When non-empty, the default runner captures a full qlog trace per
   /// repetition (structured events included) and writes
@@ -460,18 +433,6 @@ struct SweepResult {
   std::size_t reservoir_capacity = stats::Accumulator::kDefaultReservoirCapacity;
   std::uint64_t seed_base = 0;
   std::uint64_t seed_stride = 0;
-
-  /// True when the spec carried an enumerate_sink: the grid metadata is
-  /// populated but nothing ran (and nothing should be exported).
-  bool enumerate_only = false;
-
-  /// True when only_sweep deselected this whole sweep (a sibling of the
-  /// targeted sweep): nothing ran and nothing — not even an empty partial —
-  /// should be written.
-  bool deselected = false;
-
-  /// Mirrors SweepSpec::export_only (the --grid workflow).
-  bool export_only = false;
 
   /// Content-hash of the spec's serializable data (core::ScenarioHash),
   /// stamped by RunSweep, carried through partial files and work units, and

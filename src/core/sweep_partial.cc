@@ -310,10 +310,6 @@ std::string SweepPartialFileName(const SweepResult& result) {
 
 bool WriteSweepData(const SweepResult& result, const std::string& directory) {
   if (result.name.empty()) return false;
-  // A sweep deselected by only_sweep (the sibling of a targeted sweep) ran
-  // nothing: writing even an empty partial would clobber or pollute the
-  // exports of the run that actually targets it.
-  if (result.deselected) return true;
   if (!result.sharded()) {
     CsvWriter csv(directory, result.name + "_sweep", SweepCsvHeader());
     if (!csv.active()) return false;

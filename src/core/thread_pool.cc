@@ -83,7 +83,6 @@ void ThreadPool::WorkerLoop(unsigned index) {
     if (TryPop(index, task)) {
       pending_.fetch_sub(1, std::memory_order_acq_rel);
       task();
-      executed_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mutex_);
@@ -133,10 +132,6 @@ void ThreadPool::ParallelFor(std::size_t count, const std::function<void(std::si
 
   std::unique_lock<std::mutex> lock(state->mutex);
   state->done.wait(lock, [&] { return state->remaining.load(std::memory_order_acquire) == 0; });
-}
-
-std::uint64_t ThreadPool::tasks_executed() const {
-  return executed_.load(std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::Global() {

@@ -65,10 +65,6 @@ class ThreadPool {
   /// concurrency (override with the QUICER_THREADS environment variable).
   static ThreadPool& Global();
 
-  /// Total tasks executed by workers since construction (telemetry; does not
-  /// count indices the submitting thread ran itself inside ParallelFor).
-  std::uint64_t tasks_executed() const;
-
  private:
   struct WorkerQueue {
     std::mutex mutex;
@@ -84,7 +80,6 @@ class ThreadPool {
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
   std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> executed_{0};
   std::atomic<unsigned> next_queue_{0};
   std::atomic<bool> stop_{false};
 };

@@ -69,9 +69,8 @@ std::string VerifyCoverage(const std::string& sweep, const SweepGroup& group) {
   return "";
 }
 
-/// Reads the unit's published partial for its target sweep. A unit's result
-/// directory may also hold empty partials of sibling sweeps (the bench body
-/// runs them deselected); only the target sweep's file counts.
+/// Reads the unit's published partial for its target sweep; any other file
+/// in the unit's result directory is ignored.
 std::optional<core::SweepResult> ReadUnitPartial(const WorkQueue& queue,
                                                  const WorkUnit& unit,
                                                  std::string* error) {

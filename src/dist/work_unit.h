@@ -56,9 +56,9 @@ struct WorkUnit {
 std::string WorkUnitJson(const WorkUnit& unit);
 std::optional<WorkUnit> ParseWorkUnitJson(std::string_view json, std::string* error = nullptr);
 
-/// One sweep's enumeration facts, reported by the enumerate pass (the
-/// SweepEnumerateSink of queue-init) and recorded in the queue manifest for
-/// collect-time coverage verification.
+/// One sweep's enumeration facts, reported by queue-init's enumerate pass
+/// and recorded in the queue manifest for collect-time coverage
+/// verification.
 struct SweepInventory {
   std::string bench;
   std::string sweep;

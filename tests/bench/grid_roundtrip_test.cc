@@ -6,6 +6,7 @@
 // runs exactly the compiled-in grid.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -91,6 +92,38 @@ TEST(GridRoundTrip, AppliedGridEnumeratesIdenticalPoints) {
           << captured.bench << "/" << captured.spec.name << " point " << i;
     }
   }
+}
+
+TEST(GridRoundTrip, EverySweepFollowsAnEditedGridScenario) {
+  // A grid scenario must reach its sweep wherever the bench body names,
+  // scales or copies the spec — the sibling sweeps of a multi-sweep bench
+  // included. Edit each captured sweep's repetitions and check that the
+  // enumerate pass of its bench sees the edit.
+  const std::vector<CapturedSpec> specs = CaptureAll();
+  EXPECT_GE(specs.size(), 35u);
+  std::size_t followed = 0;
+  for (const CapturedSpec& captured : specs) {
+    const std::vector<std::pair<std::string, const core::SweepSpec*>> entries = {
+        {captured.bench, &captured.spec}};
+    std::string error;
+    std::optional<std::vector<core::Scenario>> scenarios =
+        core::ParseScenarioFile(core::ScenarioFileJson(entries), &error);
+    ASSERT_TRUE(scenarios.has_value()) << error;
+    core::Scenario edited = scenarios->front();
+    edited.repetitions = captured.spec.repetitions + 1;
+
+    bench::BenchContext context;
+    context.scenario = std::make_shared<const core::Scenario>(edited);
+    int seen = -1;
+    context.enumerate = [&](const core::SweepSpec& spec, std::size_t) {
+      if (spec.name == captured.spec.name) seen = spec.repetitions;
+    };
+    ASSERT_EQ(bench::RunByName(captured.bench, context), 0);
+    EXPECT_EQ(seen, edited.repetitions) << captured.bench << "/" << captured.spec.name
+                                        << " ignores its grid scenario";
+    if (seen == edited.repetitions) ++followed;
+  }
+  EXPECT_EQ(followed, specs.size());
 }
 
 TEST(GridRoundTrip, MutatedAxisChangesTheContentHash) {

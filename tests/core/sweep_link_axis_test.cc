@@ -80,11 +80,6 @@ std::string CsvText(const SweepResult& result) {
   return buffer.str();
 }
 
-SweepResult EnumerateOnly(SweepSpec spec) {
-  spec.enumerate_sink = [](const SweepSpec&, const SweepResult&) {};
-  return RunSweep(spec);
-}
-
 SweepResult ShardRoundTripMerge(const SweepSpec& spec, std::size_t shards) {
   std::vector<SweepResult> partials;
   for (std::size_t i = 0; i < shards; ++i) {
@@ -107,14 +102,14 @@ SweepResult ShardRoundTripMerge(const SweepSpec& spec, std::size_t shards) {
 TEST(SweepLinkAxis, EnumerationCountsAndLabelsTheAxis) {
   const SweepSpec spec = NetemSpec();
   EXPECT_EQ(EnumerateCount(spec), 6u);  // 3 links x 2 behaviors
-  const SweepResult enumerated = EnumerateOnly(spec);
-  ASSERT_EQ(enumerated.points.size(), 6u);
+  const std::vector<SweepPoint> enumerated = Enumerate(spec);
+  ASSERT_EQ(enumerated.size(), 6u);
   // The links loop nests outside the behavior loop; each point's config
   // carries the axis model.
   const char* expected[] = {"ge-burst", "ge-burst", "q4", "q4", "asym", "asym"};
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(enumerated.points[i].point.link, expected[i]) << i;
-    EXPECT_EQ(enumerated.points[i].point.config.link,
+    EXPECT_EQ(enumerated[i].link, expected[i]) << i;
+    EXPECT_EQ(enumerated[i].config.link,
               spec.axes.links[i / 2].model)
         << i;
   }
@@ -124,18 +119,16 @@ TEST(SweepLinkAxis, EmptyAxisKeepsTheBaseModelAndDefaultLabel) {
   SweepSpec spec = NetemSpec();
   spec.axes.links.clear();
   EXPECT_EQ(EnumerateCount(spec), 2u);
-  const SweepResult enumerated = EnumerateOnly(spec);
-  for (const PointSummary& summary : enumerated.points) {
-    EXPECT_EQ(summary.point.link, "default");
-    EXPECT_TRUE(summary.point.config.link.IsDefault());
+  for (const SweepPoint& point : Enumerate(spec)) {
+    EXPECT_EQ(point.link, "default");
+    EXPECT_TRUE(point.config.link.IsDefault());
   }
   // A non-default base model without an axis is labeled "base" and survives
   // enumeration untouched.
   spec.base.link = GilbertBoth(0.1, 0.5);
-  const SweepResult with_base = EnumerateOnly(spec);
-  for (const PointSummary& summary : with_base.points) {
-    EXPECT_EQ(summary.point.link, "base");
-    EXPECT_EQ(summary.point.config.link, spec.base.link);
+  for (const SweepPoint& point : Enumerate(spec)) {
+    EXPECT_EQ(point.link, "base");
+    EXPECT_EQ(point.config.link, spec.base.link);
   }
 }
 

@@ -64,11 +64,9 @@ TEST(ThreadPool, GlobalPoolIsPersistent) {
   ThreadPool& b = ThreadPool::Global();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.size(), 1u);
-  const std::uint64_t before = a.tasks_executed();
   std::atomic<int> sum{0};
   a.ParallelFor(10, [&](std::size_t) { sum.fetch_add(1); });
   EXPECT_EQ(sum.load(), 10);
-  EXPECT_GE(a.tasks_executed(), before);
 }
 
 }  // namespace

@@ -84,10 +84,10 @@ std::vector<SweepInventory> Inventories() {
 UnitRunner SyntheticRunner() {
   return [](const WorkUnit& unit, const std::string& stage_dir) {
     for (core::SweepSpec spec : {AlphaSpec(), BetaSpec()}) {
+      if (spec.name != unit.sweep) continue;  // a sibling sweep of the unit's
       spec.shard.points = unit.points;
       spec.shard.rep_begin = unit.rep_begin;
       spec.shard.rep_end = unit.rep_end;
-      spec.only_sweep = unit.sweep;
       const core::SweepResult result = core::RunSweep(spec);
       if (!core::WriteSweepData(result, stage_dir)) return 1;
     }
@@ -592,7 +592,6 @@ TEST(Collect, RejectsASpecHashMismatch) {
   UnitRunner runner = [](const WorkUnit& unit, const std::string& stage_dir) {
     core::SweepSpec spec = BetaSpec();
     spec.shard.points = unit.points;
-    spec.only_sweep = unit.sweep;
     return core::WriteSweepData(core::RunSweep(spec), stage_dir) ? 0 : 1;
   };
   const WorkerStats stats = RunWorker(*queue, options, runner);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -14,6 +15,16 @@
 
 namespace quicer::core {
 namespace {
+
+/// Response-stream TTFB in ms across repetitions, aborted runs excluded.
+std::vector<double> CollectResponseTtfbMs(ExperimentConfig config, int repetitions) {
+  std::vector<double> valid;
+  for (double v : RunRepetitions(std::move(config), repetitions,
+                                 [](const ExperimentResult& r) { return r.ResponseTtfbMs(); })) {
+    if (v >= 0) valid.push_back(v);
+  }
+  return valid;
+}
 
 // ---------- path jitter ----------
 
