@@ -12,10 +12,12 @@
 // (frontends_per_cluster) and probe rate are extra axes — the full §4.3
 // sensitivity grids. One cluster simulation threads one RNG through all
 // domains minute by minute, so it runs once per (capacity, ttl, frontends,
-// probe-rate) tuple — core::KeyedOutcomeRunner memoizes the simulation per
-// tuple and every domain point extracts its coalesced share from it. The
-// paper-comparison column reads the base tuple (capacity 65536, TTL 300 s,
-// 4096 frontends, 1 probe/min), which reproduces the pre-axis values
+// probe-rate) tuple: the spec's memo key is that tuple, the six domain
+// points of a tuple share one memo, and each extracts its coalesced share
+// from the memoized simulation. RunSweep starts every tuple's simulation
+// before any tuple's second domain, so the 54 simulations run in parallel.
+// The paper-comparison column reads the base tuple (capacity 65536, TTL
+// 300 s, 4096 frontends, 1 probe/min), which reproduces the pre-axis values
 // exactly.
 #include <cstdio>
 #include <string>
@@ -62,6 +64,11 @@ struct CacheOutcome {
 
 /// (capacity, ttl, frontends_per_cluster, probes/min) of one simulation.
 using ClusterKey = std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
+
+ClusterKey KeyOf(const core::SweepPoint& point) {
+  return {point.Extra("cache_capacity")->value, point.Extra("cache_ttl_s")->value,
+          point.Extra("frontends_per_cluster")->value, point.Extra("probe_per_min")->value};
+}
 
 /// Simulate 3 hours; organic traffic arrives uniformly, probes on their
 /// schedule. Coalesced share is measured on the probe stream at
@@ -142,20 +149,17 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
   spec.repetitions = 1;
   spec.metrics = {
       {"coalesced_share_pct", core::MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
-  spec.runner = core::KeyedOutcomeRunner<CacheOutcome, ClusterKey>(
-      [](const core::SweepRunContext& run) {
-        return ClusterKey{run.point.Extra("cache_capacity")->value,
-                          run.point.Extra("cache_ttl_s")->value,
-                          run.point.Extra("frontends_per_cluster")->value,
-                          run.point.Extra("probe_per_min")->value};
-      },
-      [](const ClusterKey& key, const core::SweepRunContext&) {
-        return SimulateCluster(key);
-      },
-      [](const CacheOutcome& outcome, const core::SweepRunContext& run) {
-        const auto d = static_cast<std::size_t>(run.point.Extra("domain")->value);
-        return std::vector<double>{100.0 * outcome.probe_hits[d] / outcome.probe_total[d]};
-      });
+  spec.memo_key = [](const core::SweepPoint& point) {
+    const auto [capacity, ttl_s, machines, probe_rate] = KeyOf(point);
+    return std::to_string(capacity) + '/' + std::to_string(ttl_s) + '/' +
+           std::to_string(machines) + '/' + std::to_string(probe_rate);
+  };
+  spec.runner = [](const core::SweepRunContext& run) {
+    const CacheOutcome& outcome =
+        run.memo.Get([&] { return SimulateCluster(KeyOf(run.point)); });
+    const auto d = static_cast<std::size_t>(run.point.Extra("domain")->value);
+    return std::vector<double>{100.0 * outcome.probe_hits[d] / outcome.probe_total[d]};
+  };
   const auto result = bench::Run(spec, ctx);
   if (!result) return 0;
 

@@ -877,24 +877,11 @@ int RunWorkerCommand(int argc, char** argv) {
     } else if (arg.rfind("--worker-id=", 0) == 0) {
       options.worker_id = arg.substr(std::strlen("--worker-id="));
     } else if (arg.rfind("--lease-seconds=", 0) == 0) {
-      char* end = nullptr;
-      options.lease_timeout_seconds =
-          std::strtod(arg.c_str() + std::strlen("--lease-seconds="), &end);
-      if (*end != '\0' || !(options.lease_timeout_seconds > 0.0)) {
-        // A zero/garbage timeout would make every peer's lease instantly
-        // reclaimable and the pool thrash re-running each other's units.
-        std::fprintf(stderr, "invalid --lease-seconds '%s' (expected a positive number)\n",
-                     arg.c_str());
-        return 2;
-      }
+      // A zero timeout would make every peer's lease instantly reclaimable;
+      // an infinite one would never reclaim a crashed worker's lease.
+      if (!ParseNumberOption(arg, 1e-3, 1e9, options.lease_timeout_seconds)) return 2;
     } else if (arg.rfind("--poll-seconds=", 0) == 0) {
-      char* end = nullptr;
-      options.poll_seconds = std::strtod(arg.c_str() + std::strlen("--poll-seconds="), &end);
-      if (*end != '\0' || !(options.poll_seconds > 0.0)) {
-        std::fprintf(stderr, "invalid --poll-seconds '%s' (expected a positive number)\n",
-                     arg.c_str());
-        return 2;
-      }
+      if (!ParseNumberOption(arg, 1e-3, 1e9, options.poll_seconds)) return 2;
     } else if (arg.rfind("--max-units=", 0) == 0) {
       if (!ParseNumberOption(arg, 0, 1e9, options.max_units)) return 2;
     } else if (arg.rfind("--retries=", 0) == 0) {

@@ -7,15 +7,6 @@
 
 namespace quicer::bench {
 
-double BenchContext::RemainingBudgetSeconds() const {
-  if (budget_seconds <= 0.0) return 0.0;
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
-  // Never return the "unlimited" 0: an exhausted budget must skip the
-  // remaining sweeps' points, not unleash them.
-  return std::max(1e-3, budget_seconds - elapsed);
-}
-
 namespace {
 
 /// Prints "points done / total, runs/sec" to stderr (stdout carries the
@@ -62,7 +53,11 @@ std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& c
 
   spec.observer = ObserverOf(ctx);
   spec.shard = ctx.shard;
-  if (ctx.budget_seconds > 0.0) spec.time_budget_seconds = ctx.RemainingBudgetSeconds();
+  if (ctx.budget_seconds > 0.0) {
+    spec.deadline = ctx.suite_start +
+                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double>(ctx.budget_seconds));
+  }
   spec.qlog_dir = ctx.qlog_dir;
   core::SweepResult result = core::RunSweep(spec);
 

@@ -49,8 +49,9 @@ struct BenchContext {
   /// Stream per-sweep progress lines to stderr (--progress).
   bool progress = false;
   /// Suite-wide wall-clock ceiling in seconds, 0 = unlimited
-  /// (--budget-seconds). Each sweep receives the budget *remaining* at its
-  /// start, so the whole suite lands under one ceiling.
+  /// (--budget-seconds). Every sweep gets the same deadline, suite_start +
+  /// budget_seconds, so the whole suite lands under one ceiling and a spent
+  /// budget skips every point of the later sweeps.
   double budget_seconds = 0.0;
   /// When the suite started, for the budget.
   std::chrono::steady_clock::time_point suite_start = std::chrono::steady_clock::now();
@@ -78,10 +79,6 @@ struct BenchContext {
 
   /// True when a scaled run should also widen its RTT/Δt axes.
   bool dense_axes() const { return scale > 1; }
-  /// Seconds left of the suite budget (0 = unlimited). Once the budget is
-  /// exhausted this stays at a tiny positive value, so subsequent sweeps
-  /// budget-skip all of their points instead of running unbounded.
-  double RemainingBudgetSeconds() const;
 };
 
 /// Runs one sweep of a bench body under the suite options — the only way a
@@ -91,7 +88,7 @@ struct BenchContext {
 ///  2. an enumerate pass hands the spec and its grid size to
 ///     `ctx.enumerate` and stops;
 ///  3. a sibling of `ctx.sweep_filter` stops without running;
-///  4. the observer, shard, remaining budget and qlog dir are attached;
+///  4. the observer, shard, budget deadline and qlog dir are attached;
 ///  5. core::RunSweep executes the selected subset;
 ///  6. the exports are written (the final pair, or a partial file) with
 ///     the partial-run and grid-run notes.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -425,26 +426,58 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   // decision: 0 = undecided, 1 = run, 2 = budget-skipped. The first block
   // of a point to arrive decides for the whole point, so a budget expiry
   // never leaves a partially-run point behind (and skipped points never
-  // allocate slots). The runner's per-point memo lives and dies with the
-  // slots.
+  // allocate slots).
   struct PointState {
     std::vector<double> slots;
-    PointMemo memo;
     std::once_flag init;
     std::atomic<std::size_t> remaining{0};
     std::atomic<int> decision{0};
+    std::size_t memo = 0;  // index into `memos`
+  };
+  // The runner's memo: one per point, or one per memo key, released when
+  // the last selected point sharing it folds.
+  struct MemoSlot {
+    PointMemo memo;
+    std::atomic<std::size_t> points{0};
   };
   std::vector<PointState> states(selected.size());
-  for (PointState& state : states) {
-    state.remaining.store(win, std::memory_order_relaxed);
+  for (std::size_t si = 0; si < selected.size(); ++si) {
+    states[si].remaining.store(win, std::memory_order_relaxed);
+    states[si].memo = si;
   }
 
-  const bool budgeted = spec.time_budget_seconds > 0.0;
+  // With a memo key, the points are grouped by key and the jobs ordered by
+  // each point's rank within its group (stable, so ties keep point order):
+  // the first jobs start every group once, and distinct keys' make calls
+  // run on distinct lanes instead of queueing on one key's call_once.
+  // Without a key there is no order vector: job j is point j / blocks.
+  std::vector<std::size_t> order;
+  std::size_t memo_count = selected.size();
+  if (spec.memo_key) {
+    std::map<std::string, std::size_t> group_of;
+    std::vector<std::size_t> group_size;
+    std::vector<std::size_t> rank(selected.size());
+    for (std::size_t si = 0; si < selected.size(); ++si) {
+      const auto [it, added] =
+          group_of.try_emplace(spec.memo_key(result.points[selected[si]].point),
+                               group_size.size());
+      if (added) group_size.push_back(0);
+      states[si].memo = it->second;
+      rank[si] = group_size[it->second]++;
+    }
+    memo_count = group_size.size();
+    order.resize(selected.size());
+    for (std::size_t si = 0; si < selected.size(); ++si) order[si] = si;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return rank[a] < rank[b]; });
+  }
+  std::vector<MemoSlot> memos(memo_count);
+  for (const PointState& state : states) {
+    memos[state.memo].points.fetch_add(1, std::memory_order_relaxed);
+  }
+
   auto budget_exhausted = [&] {
-    if (!budgeted) return false;
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();  // lint:allow(ND002): wall budget
-    return elapsed >= spec.time_budget_seconds;
+    return std::chrono::steady_clock::now() >= spec.deadline;  // lint:allow(ND002): wall budget
   };
 
   std::mutex progress_mutex;
@@ -466,10 +499,12 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
       selected.size() * blocks_per_point,
       [&](std::size_t j) {
         if (telemetry) obs::EnsureThisThread();
-        const std::size_t si = j / blocks_per_point;
+        const std::size_t job_point = j / blocks_per_point;
+        const std::size_t si = order.empty() ? job_point : order[job_point];
         const std::size_t first = (j % blocks_per_point) * block;
         const std::size_t len = std::min(block, win - first);
         PointState& state = states[si];
+        MemoSlot& memo = memos[state.memo];
         PointSummary& summary = result.points[selected[si]];
 
         int decision = state.decision.load(std::memory_order_acquire);
@@ -487,7 +522,7 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
             const std::size_t rep = win_begin + r;
             SweepRunContext ctx{summary.point, static_cast<int>(rep),
                                 seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride,
-                                state.memo};
+                                memo.memo};
             const std::vector<double> values = runner(ctx);
             for (std::size_t m = 0; m < n_metrics; ++m) {
               state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
@@ -519,7 +554,7 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
           }
           state.slots.clear();
           state.slots.shrink_to_fit();
-          state.memo.Release();
+          if (memo.points.fetch_sub(1, std::memory_order_acq_rel) == 1) memo.memo.Release();
 
           std::lock_guard<std::mutex> lock(progress_mutex);
           ++progress.points_completed;

@@ -9,7 +9,10 @@
 // globally on the shared persistent ThreadPool — not per point, so the tail
 // of one point overlaps the head of the next — and folds each repetition's
 // metric values into per-point series. The block size follows from the job
-// count: total / (lanes × 64), clamped to [1, 1024].
+// count: total / (lanes × 64), clamped to [1, 1024]. Jobs run in point-id
+// order, except that points sharing a memo key (SweepSpec::memo_key) are
+// ordered by their rank within the key: the first jobs start every key once,
+// so distinct keys' shared work runs on distinct lanes.
 //
 // Extraction is declarative too: a SweepSpec carries a *set* of MetricSpecs.
 // A kSummary metric streams into a stats::Accumulator (count / min / max /
@@ -51,10 +54,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -225,18 +228,20 @@ struct SweepPoint {
   std::string Key() const;
 };
 
-/// A per-point memo owned by RunSweep: one slot per selected point, shared
-/// by every block of that point on any lane. A runner keeps there what it
-/// would otherwise work out again on every repetition — a point's resolved
-/// extras, a simulation the point's repetitions share — so a repetition
-/// reads it back with one acquire load.
+/// A memo owned by RunSweep: one slot per selected point, or one per memo
+/// key when SweepSpec::memo_key groups points, shared by every block of
+/// those points on any lane. A runner keeps there what it would otherwise
+/// work out again on every repetition — a point's resolved extras, a
+/// simulation several points read — so a repetition reads it back with one
+/// acquire load.
 ///
 /// Contract, the same as for runners: the value may depend only on the
-/// point. Get's `make` runs at most once per (RunSweep call, point), on
-/// whichever lane asks first; concurrent callers wait for it (call_once) and
-/// then read the same value. A second RunSweep of the same spec computes
-/// afresh, and the slot is released when the point's last block folds. A
-/// runner stores one value type per memo: Get does not check it.
+/// point (on the key, when points share one). Get's `make` runs at most once
+/// per (RunSweep call, memo), on whichever lane asks first; concurrent
+/// callers wait for it (call_once) and then read the same value. A second
+/// RunSweep of the same spec computes afresh, and the slot is released when
+/// the last selected point sharing it folds. A runner stores one value type
+/// per memo: Get does not check it.
 class PointMemo {
  public:
   template <typename Make>
@@ -253,7 +258,7 @@ class PointMemo {
     return *static_cast<const T*>(value_.get());
   }
 
-  /// Frees the value. Only once no repetition of the point can still run.
+  /// Frees the value. Only once no repetition that reads it can still run.
   void Release() {
     ready_.store(nullptr, std::memory_order_relaxed);
     value_.reset();
@@ -272,7 +277,8 @@ struct SweepRunContext {
   /// seed_base + repetition * seed_stride — what the default runner assigns
   /// to the experiment config.
   std::uint64_t seed = 0;
-  /// The point's memo for this RunSweep call (see PointMemo).
+  /// The point's memo for this RunSweep call, shared with the points of the
+  /// same memo key (see PointMemo).
   PointMemo& memo;
 };
 
@@ -314,6 +320,12 @@ struct SweepSpec {
   /// MetricSpec::extract.
   SweepRunner runner;
 
+  /// Points with equal keys share one PointMemo, so work that several points
+  /// read (one cluster simulation behind many domain points) runs once per
+  /// key per RunSweep. Null gives every point its own memo. Like `runner`
+  /// it is code, not data: scenario files and the spec hash never see it.
+  std::function<std::string(const SweepPoint&)> memo_key;
+
   /// Seed schedule: repetition r runs with seed_base + r * seed_stride.
   /// seed_base 0 means "use base.seed".
   std::uint64_t seed_base = 0;
@@ -331,11 +343,13 @@ struct SweepSpec {
   /// Progress hook; see SweepObserver.
   SweepObserver observer;
 
-  /// Wall-clock budget in seconds (0 = unlimited). Once exceeded, points
+  /// Wall-clock deadline (max() = unlimited). Once it has passed, points
   /// whose first repetition has not yet started are skipped cleanly (marked
   /// budget_skipped, no partial series); points already underway finish all
-  /// their repetitions, so every non-skipped point stays deterministic.
-  double time_budget_seconds = 0.0;
+  /// their repetitions, so every non-skipped point stays deterministic. A
+  /// deadline already past when RunSweep starts skips every point.
+  std::chrono::steady_clock::time_point deadline =  // lint:allow(ND002): wall budget
+      std::chrono::steady_clock::time_point::max();  // lint:allow(ND002): wall budget
 
   /// Subset of the grid this process executes (default: everything). Points
   /// outside the shard stay in the result with their metadata but empty
@@ -497,46 +511,6 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 /// repetitions, seeds) or leave points uncovered.
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
                                              std::string* error = nullptr);
-
-/// Adapts a shared computation into a runner: `compute` runs once per
-/// distinct key (memoized, concurrency-safe via a per-key once_flag), and
-/// every (point, repetition) extracts its values from its key's outcome.
-/// `compute` receives the context of whichever repetition triggers it;
-/// determinism requires the outcome to depend only on the key (with its own
-/// RNG seeds) — never on the triggering repetition — so the set of keys
-/// actually computed, which depends on the shard, cannot change any
-/// outcome. The caching study keys one cluster simulation per (capacity,
-/// ttl) pair shared by its domain points. State shared only by one point's
-/// repetitions belongs in SweepRunContext::memo instead, which needs no
-/// lock or map lookup per repetition.
-template <typename Outcome, typename Key>
-SweepRunner KeyedOutcomeRunner(
-    std::function<Key(const SweepRunContext&)> key_of,
-    std::function<Outcome(const Key&, const SweepRunContext&)> compute,
-    std::function<std::vector<double>(const Outcome&, const SweepRunContext&)> extract) {
-  struct Entry {
-    std::once_flag once;
-    Outcome outcome;
-  };
-  struct State {
-    std::mutex mutex;
-    std::map<Key, std::unique_ptr<Entry>> entries;
-  };
-  auto state = std::make_shared<State>();
-  return [state, key_of = std::move(key_of), compute = std::move(compute),
-          extract = std::move(extract)](const SweepRunContext& ctx) {
-    const Key key = key_of(ctx);
-    Entry* entry;
-    {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      std::unique_ptr<Entry>& slot = state->entries[key];
-      if (!slot) slot = std::make_unique<Entry>();
-      entry = slot.get();
-    }
-    std::call_once(entry->once, [&] { entry->outcome = compute(key, ctx); });
-    return extract(entry->outcome, ctx);
-  };
-}
 
 /// The NaN sentinel runners return for "no sample for this repetition".
 inline double NoSample() { return std::nan(""); }

@@ -190,20 +190,15 @@ bool Collect(const WorkQueue& queue, const std::string& out_dir, CollectReport* 
   fs::create_directories(out_dir, ec);
   if (ec) return fail("cannot create '" + out_dir + "': " + ec.message());
 
-  // Merge per sweep. Units are already in id order; a stable sort by window
-  // start makes every split point's partials concatenate in repetition
-  // order, which the byte-identity of trace series relies on.
+  // Merge per sweep. Units are in id order; MergeSweepResults folds the
+  // partials in stable window-start order over that, so every split point's
+  // windows concatenate in repetition order.
   std::vector<obs::SweepRecord> telemetry_records;
   for (const auto& [sweep, group] : groups) {
     if (group.units.empty()) continue;
-    std::vector<const WorkUnit*> ordered = group.units;
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const WorkUnit* a, const WorkUnit* b) {
-                       return a->rep_begin < b->rep_begin;
-                     });
     std::vector<core::SweepResult> partials;
-    partials.reserve(ordered.size());
-    for (const WorkUnit* unit : ordered) {
+    partials.reserve(group.units.size());
+    for (const WorkUnit* unit : group.units) {
       std::string read_error;
       std::optional<core::SweepResult> partial = ReadUnitPartial(queue, *unit, &read_error);
       if (!partial) return fail(std::move(read_error));

@@ -4,6 +4,7 @@
 // clipped distributed run hands to the merge phase.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -271,7 +272,7 @@ SweepSpec BudgetSpec() {
 // points merges back to the full result.
 TEST(JsonParser, PartialFileRoundTripIncludesBudgetSkippedPoints) {
   SweepSpec clipped_spec = BudgetSpec();
-  clipped_spec.time_budget_seconds = 1e-9;  // expires before any point starts
+  clipped_spec.deadline = std::chrono::steady_clock::time_point::min();  // already past
   const SweepResult clipped = RunSweep(clipped_spec);
   const std::vector<std::size_t> skipped = clipped.BudgetSkippedPoints();
   ASSERT_EQ(skipped.size(), 4u);

@@ -3,6 +3,7 @@
 // exports byte for byte.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -206,7 +207,7 @@ TEST(SweepShard, BudgetSkipRerunMergesToFullResult) {
   const SweepResult full = RunSweep(spec);
 
   SweepSpec budgeted = spec;
-  budgeted.time_budget_seconds = 1e-9;  // expires before any point starts
+  budgeted.deadline = std::chrono::steady_clock::time_point::min();  // already past
   const SweepResult clipped = RunSweep(budgeted);
   EXPECT_TRUE(clipped.partial());
   const std::vector<std::size_t> skipped = clipped.BudgetSkippedPoints();

@@ -7,10 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "core/csv.h"
 #include "core/loss_scenarios.h"
+#include "core/thread_pool.h"
 
 namespace quicer::core {
 namespace {
@@ -390,7 +392,7 @@ TEST(Sweep, ExpiredBudgetSkipsPointsCleanly) {
   spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}}}};
   spec.repetitions = 3;
   spec.metrics = {{"v", MetricMode::kTrace, /*exclude_negative=*/false, nullptr}};
-  spec.time_budget_seconds = 1e-9;  // expires before the first point starts
+  spec.deadline = std::chrono::steady_clock::time_point::min();  // already past
   std::atomic<std::size_t> ran{0};
   spec.runner = [&](const SweepRunContext& ctx) {
     ++ran;
@@ -404,7 +406,7 @@ TEST(Sweep, ExpiredBudgetSkipsPointsCleanly) {
     EXPECT_TRUE(summary.primary().trace.empty());
   }
   // Without a budget the same spec runs everything.
-  spec.time_budget_seconds = 0.0;
+  spec.deadline = std::chrono::steady_clock::time_point::max();
   const SweepResult full = RunSweep(spec);
   EXPECT_EQ(full.executed_runs, 6u);
   for (const PointSummary& summary : full.points) {
@@ -470,37 +472,100 @@ TEST(Sweep, BlockScheduledRepetitionsMatchDirectLoop) {
   }
 }
 
-// The per-point memo: its make runs once per (RunSweep call, point) while
-// the point's blocks run on several lanes, every repetition of a point reads
-// that point's value, and a second RunSweep of the same spec computes afresh.
+// The memo: its make runs once per (RunSweep call, memo) while the blocks
+// run on several lanes, every repetition reads its own memo's value, and a
+// second RunSweep of the same spec computes afresh. Without a memo key every
+// point has its own memo; with one, the points of a key share one (three
+// keys of four adjacent points each, so the job order must interleave the
+// keys). Results are identical at every parallelism.
 TEST(Sweep, PointMemoComputesOncePerPointPerRun) {
-  constexpr std::size_t kPoints = 6;
-  std::array<std::atomic<int>, kPoints> makes{};
-  SweepSpec spec;
-  spec.name = "memo_test";
-  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}, {"e", 5}, {"f", 6}}}};
-  spec.repetitions = 3000;  // tens of blocks per point at 4 lanes
-  spec.metrics = {{"value", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
-  spec.runner = [&](const SweepRunContext& ctx) {
-    const std::int64_t& value = ctx.memo.Get([&] {
-      // Widens the window in which other lanes reach the same point.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      ++makes[ctx.point.index];
-      return ctx.point.Extra("k")->value * 10;
-    });
-    return std::vector<double>{static_cast<double>(value)};
-  };
-
-  for (int run = 1; run <= 2; ++run) {
-    const SweepResult result = RunSweep(spec, /*max_parallelism=*/4);
-    ASSERT_EQ(result.points.size(), kPoints);
+  constexpr std::size_t kPoints = 12;
+  for (const bool keyed : {false, true}) {
+    SCOPED_TRACE(keyed ? "keyed" : "per point");
+    const auto memo_of = [keyed](std::size_t point) { return keyed ? point / 4 : point; };
+    std::array<std::atomic<int>, kPoints> makes{};
+    SweepSpec spec;
+    spec.name = "memo_test";
+    SweepExtraAxis axis{"k", {}};
     for (std::size_t i = 0; i < kPoints; ++i) {
-      EXPECT_EQ(makes[i].load(), run) << "point " << i << " run " << run;
-      const stats::Accumulator& values = result.points[i].values();
-      EXPECT_EQ(values.count(), 3000u);
-      EXPECT_EQ(values.min(), static_cast<double>((i + 1) * 10)) << i;
-      EXPECT_EQ(values.max(), static_cast<double>((i + 1) * 10)) << i;
+      axis.values.push_back({std::to_string(i), static_cast<std::int64_t>(i)});
     }
+    spec.axes.extras = {axis};
+    spec.repetitions = 3000;  // tens of blocks per point at 4 lanes
+    spec.metrics = {{"value", MetricMode::kTrace, /*exclude_negative=*/false, nullptr}};
+    if (keyed) {
+      spec.memo_key = [&](const SweepPoint& point) {
+        return "key" + std::to_string(memo_of(point.index));
+      };
+    }
+    spec.runner = [&](const SweepRunContext& ctx) {
+      const std::size_t& memo = ctx.memo.Get([&] {
+        // Widens the window in which other lanes reach the same memo.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        ++makes[memo_of(ctx.point.index)];
+        return memo_of(ctx.point.index);
+      });
+      EXPECT_EQ(memo, memo_of(ctx.point.index)) << "point " << ctx.point.index;
+      return std::vector<double>{static_cast<double>(memo * 10000 + ctx.repetition)};
+    };
+
+    std::string first_json;
+    int runs = 0;
+    for (unsigned cap : {1u, 2u, 7u}) {
+      const SweepResult result = RunSweep(spec, cap);
+      ++runs;
+      ASSERT_EQ(result.points.size(), kPoints);
+      for (std::size_t m = 0; m < kPoints; ++m) {
+        const bool used = keyed ? m < 3 : true;
+        EXPECT_EQ(makes[m].load(), used ? runs : 0) << "memo " << m << " cap " << cap;
+      }
+      for (std::size_t i = 0; i < kPoints; ++i) {
+        const std::vector<double>& trace = result.points[i].primary().trace;
+        ASSERT_EQ(trace.size(), 3000u);
+        EXPECT_EQ(trace.front(), static_cast<double>(memo_of(i) * 10000)) << i;
+        EXPECT_EQ(trace.back(), static_cast<double>(memo_of(i) * 10000 + 2999)) << i;
+      }
+      const std::string json = SweepResultJson(result);
+      if (first_json.empty()) first_json = json;
+      EXPECT_EQ(json, first_json) << "cap " << cap;
+    }
+  }
+}
+
+// Points with distinct memo keys start their make calls together: with two
+// keys of three adjacent points each and two lanes, the first two jobs are
+// the two keys' first points, so each make sees the other start. Job order
+// by point id would queue the second lane on the first key's call_once.
+TEST(Sweep, MemoKeysStartConcurrently) {
+  if (ThreadPool::Global().Lanes(2) < 2) GTEST_SKIP() << "needs two pool lanes";
+  std::atomic<int> started{0};
+  std::atomic<int> timed_out{0};
+  SweepSpec spec;
+  spec.name = "memo_key_order_test";
+  spec.axes.extras = {{"k", {{"a", 0}, {"b", 1}, {"c", 2}, {"d", 3}, {"e", 4}, {"f", 5}}}};
+  spec.repetitions = 1;
+  spec.metrics = {{"value", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  spec.memo_key = [](const SweepPoint& point) { return point.index < 3 ? "low" : "high"; };
+  spec.runner = [&](const SweepRunContext& ctx) {
+    const bool& concurrent = ctx.memo.Get([&] {
+      ++started;
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 2) {
+        if (std::chrono::steady_clock::now() > give_up) {
+          ++timed_out;
+          return false;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return true;
+    });
+    return std::vector<double>{concurrent ? 1.0 : 0.0};
+  };
+  const SweepResult result = RunSweep(spec, /*max_parallelism=*/2);
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(timed_out.load(), 0);
+  for (const PointSummary& summary : result.points) {
+    EXPECT_EQ(summary.values().min(), 1.0) << summary.point.index;
   }
 }
 
