@@ -18,6 +18,7 @@
 #include "core/json.h"
 #include "core/pto_model.h"
 #include "core/sweep.h"
+#include "core/sweep_partial.h"
 #include "quic/ack_manager.h"
 #include "recovery/pto.h"
 #include "recovery/rtt_estimator.h"
@@ -259,6 +260,75 @@ void BM_ProbeRunnerRepetition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeRunnerRepetition);
+
+/// One shard of the §4.3 scan as the sharded path writes it: the Table 1
+/// sweep (8 CDN points, about 7,200 0/1 iack samples in summary mode) and
+/// the Fig 8 sweep (5 CDN points, about 7,100 16-17-digit ACK->SH delays in
+/// trace mode) over 25,000 ranks of one (day, vantage), run by
+/// scan::ProbeRunner once.
+const std::vector<core::SweepResult>& ScanShardResults() {
+  static const std::vector<core::SweepResult> results = [] {
+    constexpr std::size_t kRanks = 25'000;
+    const auto population = std::make_shared<const scan::TrancoPopulation>(kRanks, 5);
+    const std::vector<scan::Cdn> fig08_cdns = {scan::Cdn::kAkamai, scan::Cdn::kAmazon,
+                                               scan::Cdn::kCloudflare, scan::Cdn::kGoogle,
+                                               scan::Cdn::kOthers};
+    core::SweepSpec table1;
+    table1.name = "table1";
+    table1.axes.extras = {scan::DayAxis(1), scan::VantageAxis({scan::Vantage::kHamburg}),
+                          scan::CdnAxis({scan::kAllCdns.begin(), scan::kAllCdns.end()})};
+    table1.metrics = {{"iack_observed", core::MetricMode::kSummary, false, nullptr}};
+    table1.runner = scan::ProbeRunner(
+        population, /*prober_seed=*/11, scan::MatchPointCdn(),
+        {[](const core::SweepPoint&, const scan::Domain&, const scan::ProbeResult& r) {
+          if (!r.success) return core::NoSample();
+          return r.iack_observed ? 1.0 : 0.0;
+        }});
+    core::SweepSpec fig08 = table1;
+    fig08.name = "fig08";
+    fig08.axes.extras.back() = scan::CdnAxis(fig08_cdns);
+    fig08.metrics = {{"ack_sh_delay_ms", core::MetricMode::kTrace, false, nullptr}};
+    fig08.runner = scan::ProbeRunner(
+        population, /*prober_seed=*/11, scan::MatchPointCdn(),
+        {[](const core::SweepPoint&, const scan::Domain&, const scan::ProbeResult& r) {
+          if (!r.success || (!r.iack_observed && !r.coalesced)) return core::NoSample();
+          return r.ack_sh_delay_ms;
+        }});
+    std::vector<core::SweepResult> out;
+    for (core::SweepSpec* spec : {&table1, &fig08}) {
+      spec->repetitions = static_cast<int>(kRanks);
+      spec->reservoir_capacity = kRanks;
+      out.push_back(core::RunSweep(*spec, /*max_parallelism=*/1));
+    }
+    return out;
+  }();
+  return results;
+}
+
+void BM_SweepPartialSerialize(benchmark::State& state) {
+  // SweepPartialJson over one scan shard's two results, per shard.
+  const std::vector<core::SweepResult>& results = ScanShardResults();
+  for (auto _ : state) {
+    for (const core::SweepResult& result : results) {
+      benchmark::DoNotOptimize(core::SweepPartialJson(result));
+    }
+  }
+}
+BENCHMARK(BM_SweepPartialSerialize)->Unit(benchmark::kMicrosecond);
+
+void BM_SweepPartialParse(benchmark::State& state) {
+  // ParseSweepPartialJson over one scan shard's two documents, per shard.
+  std::vector<std::string> documents;
+  for (const core::SweepResult& result : ScanShardResults()) {
+    documents.push_back(core::SweepPartialJson(result));
+  }
+  for (auto _ : state) {
+    for (const std::string& document : documents) {
+      benchmark::DoNotOptimize(core::ParseSweepPartialJson(document));
+    }
+  }
+}
+BENCHMARK(BM_SweepPartialParse)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,8 +1,10 @@
 #include "core/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <system_error>
 
 namespace quicer::core {
@@ -16,21 +18,31 @@ bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
+struct JsonValue::Body {
+  std::string string;
+  std::vector<JsonValue> items;
+  std::vector<std::pair<std::string, JsonValue>> members;
+};
+
+JsonValue::JsonValue() = default;
+JsonValue::JsonValue(JsonValue&& other) noexcept = default;
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept = default;
+JsonValue::~JsonValue() = default;
+
 const std::string& JsonValue::AsString() const {
-  return type_ == Type::kString ? string_ : kEmptyString;
+  return type_ == Type::kString && body_ ? body_->string : kEmptyString;
 }
 
 const std::vector<JsonValue>& JsonValue::Items() const {
-  return type_ == Type::kArray ? items_ : kEmptyItems;
+  return type_ == Type::kArray && body_ ? body_->items : kEmptyItems;
 }
 
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::Members() const {
-  return type_ == Type::kObject ? members_ : kEmptyMembers;
+  return type_ == Type::kObject && body_ ? body_->members : kEmptyMembers;
 }
 
 const JsonValue* JsonValue::Get(std::string_view key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : Members()) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -62,16 +74,14 @@ class JsonParser {
 
   std::optional<JsonValue> Parse(std::string* error) {
     JsonValue value;
-    if (!ParseValue(value, 0)) {
+    bool ok = ParseValue(value, 0);
+    if (ok) {
+      SkipWhitespace();
+      if (pos_ != text_.size()) ok = Fail("trailing characters after document");
+    }
+    if (!ok) {
       if (error != nullptr) {
         *error = error_ + " at $" + path_ + " (offset " + std::to_string(pos_) + ")";
-      }
-      return std::nullopt;
-    }
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      if (error != nullptr) {
-        *error = "trailing characters after document (offset " + std::to_string(pos_) + ")";
       }
       return std::nullopt;
     }
@@ -81,8 +91,12 @@ class JsonParser {
  private:
   static constexpr int kMaxDepth = 64;
 
+  /// RFC 8259's four whitespace characters; std::isspace would also take
+  /// \v and \f.
   void SkipWhitespace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\n' && c != '\t' && c != '\r') return;
       ++pos_;
     }
   }
@@ -152,7 +166,8 @@ class JsonParser {
       case '[': return ParseArray(out, depth);
       case '"':
         out.type_ = JsonValue::Type::kString;
-        return ParseString(out.string_);
+        out.body_ = std::make_unique<JsonValue::Body>();
+        return ParseString(out.body_->string);
       case 't':
         out.type_ = JsonValue::Type::kBool;
         out.bool_ = true;
@@ -175,7 +190,9 @@ class JsonParser {
     // NUL-terminated is never read past its end.
     const char first = text_[pos_];
     if (first != '-' && !IsDigit(first)) return Fail("unexpected character");
-    std::size_t end = pos_ + (first == '-' ? 1 : 0);
+    const bool negative = first == '-';
+    std::size_t end = pos_ + (negative ? 1 : 0);
+    const std::size_t int_begin = end;
     const auto at = [&](std::string_view chars) {
       return end < text_.size() && chars.find(text_[end]) != std::string_view::npos;
     };
@@ -189,6 +206,7 @@ class JsonParser {
     } else if (!digits()) {
       return Fail("malformed number");
     }
+    const std::size_t int_end = end;
     if (at(".")) {
       ++end;
       if (!digits()) return Fail("malformed number");
@@ -202,12 +220,24 @@ class JsonParser {
         (std::isalnum(static_cast<unsigned char>(text_[end])) || text_[end] == '.')) {
       return Fail("malformed number");  // 0x10, 01, 1.5.3
     }
+    out.type_ = JsonValue::Type::kNumber;
+    // An integer of at most 15 digits is below 2^53, so accumulating it is
+    // exact; negating a zero gives -0, as from_chars does.
+    if (end == int_end && int_end - int_begin <= 15) {
+      std::uint64_t magnitude = 0;
+      for (std::size_t i = int_begin; i < int_end; ++i) {
+        magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[i] - '0');
+      }
+      out.number_ = static_cast<double>(magnitude);
+      if (negative) out.number_ = -out.number_;
+      pos_ = end;
+      return true;
+    }
     const char* begin = text_.data() + pos_;
     const char* last = text_.data() + end;
     if (std::from_chars(begin, last, out.number_).ec != std::errc()) {
       return Fail("number out of range: " + std::string(begin, last));
     }
-    out.type_ = JsonValue::Type::kNumber;
     pos_ = end;
     return true;
   }
@@ -220,12 +250,13 @@ class JsonParser {
       ++pos_;
       return true;
     }
+    out.body_ = std::make_unique<JsonValue::Body>();
+    std::vector<JsonValue>& items = out.body_->items;
     while (true) {
-      JsonValue item;
+      JsonValue& item = items.emplace_back();
       if (!ParseValue(item, depth + 1)) {
-        return Unwind("[" + std::to_string(out.items_.size()) + "]");
+        return Unwind("[" + std::to_string(items.size() - 1) + "]");
       }
-      out.items_.push_back(std::move(item));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -248,6 +279,7 @@ class JsonParser {
       ++pos_;
       return true;
     }
+    out.body_ = std::make_unique<JsonValue::Body>();
     while (true) {
       SkipWhitespace();
       std::string key;
@@ -255,7 +287,7 @@ class JsonParser {
       if (!Consume(':')) return false;
       JsonValue value;
       if (!ParseValue(value, depth + 1)) return Unwind("." + key);
-      out.members_.emplace_back(std::move(key), std::move(value));
+      out.body_->members.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       if (pos_ >= text_.size()) return Fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -295,17 +327,92 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-void AppendJsonNumber(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "null";
-    return;
+namespace {
+
+/// A finite double's decimal digits as std::to_chars(scientific) writes
+/// them: digits[0].digits[1..count) × 10^exponent, trailing zeros dropped.
+struct Decimal {
+  bool negative = false;
+  int count = 0;
+  int exponent = 0;
+  char digits[24] = {};
+
+  bool operator==(const Decimal& other) const {
+    return negative == other.negative && count == other.count && exponent == other.exponent &&
+           std::equal(digits, digits + count, other.digits);
   }
-  // Shortest representation that still round-trips exactly: scenario files
-  // are hand-edited, so "2.8" beats "2.7999999999999998" — but byte-exact
-  // parse-back is what the sharded/merged byte-identity rests on, so wider
-  // precision is used whenever the short form is lossy. to_chars(general,
-  // p) is defined as printf's %.*g in the C locale, so these are the bytes
-  // snprintf("%.*g") writes, without its locale and multi-precision paths.
+};
+
+/// to_chars(v, scientific) read back into a Decimal: the shortest digits
+/// that round-trip when `precision` is negative, else v rounded to
+/// precision + 1 significant digits.
+Decimal ScientificDigits(double v, int precision) {
+  char buffer[40];
+  char* const last = buffer + sizeof(buffer);
+  const char* const end =
+      precision < 0
+          ? std::to_chars(buffer, last, v, std::chars_format::scientific).ptr
+          : std::to_chars(buffer, last, v, std::chars_format::scientific, precision).ptr;
+  Decimal d;
+  const char* p = buffer;
+  if (*p == '-') {
+    d.negative = true;
+    ++p;
+  }
+  for (; *p != 'e'; ++p) {
+    if (*p != '.') d.digits[d.count++] = *p;
+  }
+  const bool negative_exponent = p[1] == '-';
+  for (p += 2; p < end; ++p) d.exponent = d.exponent * 10 + (*p - '0');
+  if (negative_exponent) d.exponent = -d.exponent;
+  while (d.count > 1 && d.digits[d.count - 1] == '0') --d.count;
+  return d;
+}
+
+/// Appends `d` the way printf's %.*g writes it at `precision`, given that
+/// rounding v to `precision` digits yields exactly d: fixed notation for
+/// exponents in [-4, precision), else d.ddde±XX, trailing zeros dropped.
+void AppendGeneral(std::string& out, const Decimal& d, int precision) {
+  char buffer[40];
+  char* p = buffer;
+  if (d.negative) *p++ = '-';
+  const int x = d.exponent;
+  if (x >= -4 && x < precision) {
+    if (x < 0) {
+      *p++ = '0';
+      *p++ = '.';
+      p = std::fill_n(p, -x - 1, '0');
+      p = std::copy(d.digits, d.digits + d.count, p);
+    } else {
+      const int whole = x + 1;
+      const int shown = std::min(whole, d.count);
+      p = std::copy(d.digits, d.digits + shown, p);
+      p = std::fill_n(p, whole - shown, '0');
+      if (d.count > whole) {
+        *p++ = '.';
+        p = std::copy(d.digits + whole, d.digits + d.count, p);
+      }
+    }
+  } else {
+    *p++ = d.digits[0];
+    if (d.count > 1) {
+      *p++ = '.';
+      p = std::copy(d.digits + 1, d.digits + d.count, p);
+    }
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    const int magnitude = x < 0 ? -x : x;
+    if (magnitude < 10) *p++ = '0';
+    p = std::to_chars(p, buffer + sizeof(buffer), magnitude).ptr;
+  }
+  out.append(buffer, p);
+}
+
+/// The rule itself: the first of %.15g, %.16g, %.17g that reads back to v.
+/// to_chars(general, p) is defined as printf's %.*g in the C locale, so
+/// these are the bytes snprintf("%.*g") writes, without its locale and
+/// multi-precision paths.
+void AppendFirstRoundTrip(std::string& out, double v) {
   char buffer[32];
   char* end = buffer;
   for (int precision = 15; precision <= 17; ++precision) {
@@ -316,6 +423,58 @@ void AppendJsonNumber(std::string& out, double v) {
     if (std::from_chars(buffer, end, back).ec == std::errc() && back == v) break;
   }
   out.append(buffer, end);
+}
+
+}  // namespace
+
+void AppendJsonNumber(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "null";
+    return;
+  }
+  // Shortest representation that still round-trips exactly: scenario files
+  // are hand-edited, so "2.8" beats "2.7999999999999998" — but byte-exact
+  // parse-back is what the sharded/merged byte-identity rests on, so wider
+  // precision is used whenever the short form is lossy.
+  //
+  // An integer below 1e15 has at most 15 digits, all of which %.15g writes.
+  if (v > -1e15 && v < 1e15) {
+    const auto whole = static_cast<std::int64_t>(v);
+    if (static_cast<double>(whole) == v) {
+      if (whole == 0 && std::signbit(v)) {
+        out += "-0";
+        return;
+      }
+      char buffer[24];
+      out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), whole).ptr);
+      return;
+    }
+  }
+  // Subnormals have fewer significant bits, so the argument below does not
+  // hold for them; ±inf has no digits.
+  if (!std::isnormal(v)) {
+    AppendFirstRoundTrip(out, v);
+    return;
+  }
+  // For a normal double, 15-digit decimals near v lie more than four ulps
+  // apart, and the shortest digits S that round-trip lie within half an ulp
+  // of v; among candidates of equal length to_chars takes the closest. So:
+  // - S of at most 15 digits is v rounded to 15 digits: %.15g.
+  // - S of 17 digits is v rounded to 17 digits, and no 15- or 16-digit
+  //   form round-trips: %.17g.
+  // - With 16, %.15g is lossy, and %.16g round-trips exactly when v
+  //   rounded to 16 digits is S (next to a power of two, where the ulp
+  //   below v is half the ulp above, the rounding can fall outside).
+  const Decimal shortest = ScientificDigits(v, -1);
+  if (shortest.count <= 15) {
+    AppendGeneral(out, shortest, 15);
+  } else if (shortest.count == 17) {
+    AppendGeneral(out, shortest, 17);
+  } else if (ScientificDigits(v, 15) == shortest) {
+    AppendGeneral(out, shortest, 16);
+  } else {
+    AppendGeneral(out, ScientificDigits(v, 16), 17);
+  }
 }
 
 std::string JsonNumber(double v) {

@@ -28,7 +28,11 @@ class JsonValue {
   /// malformed input.
   static std::optional<JsonValue> Parse(std::string_view text, std::string* error = nullptr);
 
-  JsonValue() = default;
+  // Move-only. Defined out of line, where Body is complete.
+  JsonValue();
+  JsonValue(JsonValue&& other) noexcept;
+  JsonValue& operator=(JsonValue&& other) noexcept;
+  ~JsonValue();
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
@@ -57,12 +61,15 @@ class JsonValue {
  private:
   friend class JsonParser;
 
+  /// The string, items or members of a string, array or object value.
+  /// Kept behind one pointer, so a number or literal (most elements of a
+  /// partial document's arrays) is three words and no heap block.
+  struct Body;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<std::pair<std::string, JsonValue>> members_;
+  std::unique_ptr<Body> body_;
 };
 
 /// Writer-side helpers shared by the JSON-emitting modules (sweep exports,
@@ -71,7 +78,9 @@ std::string JsonEscape(const std::string& s);
 /// Appends the shortest of %.15g, %.16g and %.17g that round-trips the
 /// double exactly — exact parse-back is the property the sharded sweep
 /// workflow relies on for byte-identical merged exports, and the short form
-/// keeps scenario files hand-editable. NaN renders as null.
+/// keeps scenario files hand-editable. NaN renders as null. A normal double
+/// costs one shortest to_chars call (two or three when its shortest form
+/// has 16 digits), not a formatting and parse-back per tried precision.
 void AppendJsonNumber(std::string& out, double v);
 /// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double v);

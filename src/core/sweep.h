@@ -283,9 +283,12 @@ struct SweepRunContext {
 };
 
 /// Produces one repetition's metric values, aligned positionally with
-/// SweepSpec::metrics. Runners are called concurrently from pool workers and
-/// must be thread-safe; determinism requires the returned values depend only
-/// on the context, never on call order.
+/// SweepSpec::metrics. A runner may return fewer values than there are
+/// metrics: each missing value is NoSample(), so an empty vector (which
+/// allocates nothing) means "no sample" for every metric. Runners are
+/// called concurrently from pool workers and must be thread-safe;
+/// determinism requires the returned values depend only on the context,
+/// never on call order.
 using SweepRunner = std::function<std::vector<double>(const SweepRunContext&)>;
 
 /// Progress snapshot handed to a SweepObserver after each point completes.

@@ -1,8 +1,11 @@
 #include "core/sweep_partial.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -37,14 +40,60 @@ std::vector<double> ParseDoubleArray(const JsonValue& value) {
   return out;
 }
 
-std::vector<std::size_t> ParseSizeArray(const JsonValue& value) {
-  std::vector<std::size_t> out;
-  out.reserve(value.Items().size());
-  for (const JsonValue& item : value.Items()) {
-    out.push_back(static_cast<std::size_t>(item.AsNumber()));
+constexpr double kTwoTo63 = 9223372036854775808.0;
+constexpr double kTwoTo64 = 18446744073709551616.0;
+
+/// Reads the fields that become integers. A present field must be a whole
+/// number in [lo, hi), so the cast is defined and writing the result back
+/// gives the same digits; the first that is not is recorded with its path,
+/// and the document is rejected.
+class WholeReader {
+ public:
+  /// `value`, member `key` of the value at `where`, checked against
+  /// [lo, hi); 0 when it fails.
+  double Read(const JsonValue& value, std::string_view where, std::string_view key,
+              double lo = 0.0, double hi = kTwoTo64) {
+    const double v = value.AsNumber(std::nan(""));
+    if (InRange(v, lo, hi)) return v;
+    Fail(std::string(where) + "." + std::string(key));
+    return 0.0;
   }
-  return out;
-}
+
+  /// Member `key` of `object` (the value at `where`) as a size, or
+  /// `fallback` when absent.
+  std::size_t Size(const JsonValue& object, std::string_view key, std::string_view where,
+                   std::size_t fallback = 0) {
+    const JsonValue* value = object.Get(key);
+    return value == nullptr ? fallback : static_cast<std::size_t>(Read(*value, where, key));
+  }
+
+  std::vector<std::size_t> Sizes(const JsonValue& array, std::string_view path) {
+    std::vector<std::size_t> out;
+    out.reserve(array.Items().size());
+    for (const JsonValue& item : array.Items()) {
+      const double v = item.AsNumber(std::nan(""));
+      if (!InRange(v, 0.0, kTwoTo64)) {
+        Fail(std::string(path) + "[" + std::to_string(out.size()) + "]");
+        break;
+      }
+      out.push_back(static_cast<std::size_t>(v));
+    }
+    return out;
+  }
+
+  const std::string& error() const { return error_; }
+
+ private:
+  static bool InRange(double v, double lo, double hi) {
+    return v >= lo && v < hi && v == std::floor(v);
+  }
+
+  void Fail(const std::string& path) {
+    if (error_.empty()) error_ = path + " is not a whole number in range";
+  }
+
+  std::string error_;
+};
 
 }  // namespace
 
@@ -167,18 +216,23 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
                 "')");
   }
 
+  WholeReader whole;
   SweepResult result;
   result.name = doc->GetString("sweep");
   result.spec_hash = std::strtoull(doc->GetString("spec_hash").c_str(), nullptr, 16);
-  result.shard.index = static_cast<std::size_t>(doc->GetNumber("shard_index"));
-  result.shard.count = static_cast<std::size_t>(doc->GetNumber("shard_count", 1.0));
+  result.shard.index = whole.Size(*doc, "shard_index", "$");
+  result.shard.count = whole.Size(*doc, "shard_count", "$", 1);
   if (const JsonValue* shard_points = doc->Get("shard_points")) {
-    result.shard.points = ParseSizeArray(*shard_points);
+    result.shard.points = whole.Sizes(*shard_points, "$.shard_points");
   }
-  result.shard.rep_begin = static_cast<std::size_t>(doc->GetNumber("rep_begin"));
-  result.shard.rep_end = static_cast<std::size_t>(doc->GetNumber("rep_end"));
-  result.repetitions = static_cast<int>(doc->GetNumber("repetitions"));
-  result.reservoir_capacity = static_cast<std::size_t>(doc->GetNumber("reservoir_capacity"));
+  result.shard.rep_begin = whole.Size(*doc, "rep_begin", "$");
+  result.shard.rep_end = whole.Size(*doc, "rep_end", "$");
+  if (const JsonValue* repetitions = doc->Get("repetitions")) {
+    result.repetitions = static_cast<int>(
+        whole.Read(*repetitions, "$", "repetitions", std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max() + 1.0));
+  }
+  result.reservoir_capacity = whole.Size(*doc, "reservoir_capacity", "$");
   result.seed_base = std::strtoull(doc->GetString("seed_base").c_str(), nullptr, 10);
   result.seed_stride = std::strtoull(doc->GetString("seed_stride").c_str(), nullptr, 10);
   if (const JsonValue* telemetry = doc->Get("telemetry")) {
@@ -187,14 +241,16 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
     if (const JsonValue* counters = telemetry->Get("counters")) {
       for (const auto& [counter_name, value] : counters->Members()) {
         result.telemetry.counters.emplace_back(
-            counter_name, static_cast<std::uint64_t>(value.AsNumber()));
+            counter_name, static_cast<std::uint64_t>(
+                              whole.Read(value, "$.telemetry.counters", counter_name)));
       }
     }
   }
 
   const JsonValue* points = doc->Get("points");
   if (points == nullptr) return fail("missing 'points' array");
-  const auto points_total = static_cast<std::size_t>(doc->GetNumber("points_total"));
+  const std::size_t points_total = whole.Size(*doc, "points_total", "$");
+  if (!whole.error().empty()) return fail(whole.error());
   if (points->Items().size() != points_total) {
     return fail("points_total (" + std::to_string(points_total) + ") does not match the " +
                 std::to_string(points->Items().size()) + " serialised points");
@@ -202,10 +258,11 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
 
   result.points.reserve(points->Items().size());
   for (const JsonValue& point : points->Items()) {
+    const std::string where = "$.points[" + std::to_string(result.points.size()) + "]";
     PointSummary summary;
     summary.executed = point.GetBool("executed");
     summary.budget_skipped = point.GetBool("budget_skipped");
-    summary.point.index = static_cast<std::size_t>(point.GetNumber("point"));
+    summary.point.index = whole.Size(point, "point", where);
     if (summary.point.index != result.points.size()) {
       return fail("point ids out of order at position " + std::to_string(result.points.size()));
     }
@@ -220,18 +277,24 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
       for (const JsonValue& extra : extras->Items()) {
         SweepAxisValue value;
         value.label = extra.GetString("label");
-        value.value = static_cast<std::int64_t>(extra.GetNumber("value"));
+        if (const JsonValue* number = extra.Get("value")) {
+          value.value = static_cast<std::int64_t>(whole.Read(
+              *number, where + ".extras[" + std::to_string(summary.point.extras.size()) + "]",
+              "value", -kTwoTo63, kTwoTo63));
+        }
         summary.point.extras.emplace_back(extra.GetString("axis"), value);
       }
     }
     summary.point.rtt_ms = point.GetNumber("rtt_ms");
     summary.point.delta_ms = point.GetNumber("delta_ms");
-    summary.point.certificate_bytes = static_cast<std::size_t>(point.GetNumber("cert_bytes"));
+    summary.point.certificate_bytes = whole.Size(point, "cert_bytes", where);
 
     const JsonValue* metrics = point.Get("metrics");
     if (metrics == nullptr) return fail("point " + std::to_string(summary.point.index) +
                                         " misses its 'metrics' array");
     for (const JsonValue& metric : metrics->Items()) {
+      const std::string metric_where =
+          where + ".metrics[" + std::to_string(summary.metrics.size()) + "]";
       MetricSeries series;
       series.name = metric.GetString("name");
       const std::string& mode = metric.GetString("mode");
@@ -239,8 +302,8 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
         return fail("unknown metric mode '" + mode + "'");
       }
       series.mode = mode == "trace" ? MetricMode::kTrace : MetricMode::kSummary;
-      series.aborted = static_cast<std::size_t>(metric.GetNumber("aborted"));
-      series.skipped = static_cast<std::size_t>(metric.GetNumber("skipped"));
+      series.aborted = whole.Size(metric, "aborted", metric_where);
+      series.skipped = whole.Size(metric, "skipped", metric_where);
       if (series.mode == MetricMode::kTrace) {
         if (const JsonValue* trace = metric.Get("trace")) series.trace = ParseDoubleArray(*trace);
       } else {
@@ -248,7 +311,7 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
         state.capacity = result.reservoir_capacity;
         if (const JsonValue* overflow = metric.Get("overflow")) {
           state.overflowed = true;
-          state.count = static_cast<std::size_t>(overflow->GetNumber("count"));
+          state.count = whole.Size(*overflow, "count", metric_where + ".overflow");
           state.mean = overflow->GetNumber("mean");
           state.m2 = overflow->GetNumber("m2");
           state.min = overflow->GetNumber("min");
@@ -256,15 +319,21 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
           state.histo_lo = overflow->GetNumber("lo");
           state.histo_hi = overflow->GetNumber("hi");
           if (const JsonValue* bins = overflow->Get("bins")) {
-            state.bins = ParseSizeArray(*bins);
+            state.bins = whole.Sizes(*bins, metric_where + ".overflow.bins");
           }
         } else if (const JsonValue* samples = metric.Get("samples")) {
+          // The writer lists samples only while they fit the reservoir; more
+          // would overflow it here, into moments the document never held.
+          if (samples->Items().size() > std::max<std::size_t>(state.capacity, 1)) {
+            return fail(metric_where + ".samples holds more values than reservoir_capacity");
+          }
           state.samples = ParseDoubleArray(*samples);
         }
         series.summary = stats::Accumulator::FromState(state);
       }
       summary.metrics.push_back(std::move(series));
     }
+    if (!whole.error().empty()) return fail(whole.error());
     result.points.push_back(std::move(summary));
   }
 

@@ -65,18 +65,20 @@ core::SweepRunner ProbeRunner(std::shared_ptr<const TrancoPopulation> population
   return [population = std::move(population), prober = Prober(prober_seed),
           filter = std::move(filter),
           metrics = std::move(metrics)](const core::SweepRunContext& ctx) {
-    std::vector<double> values(metrics.size(), core::NoSample());
+    // A repetition that probes nothing returns no values, which the sweep
+    // reads as "no sample" for every metric, and allocates nothing.
     const auto& domains = population->domains();
     const std::size_t index = static_cast<std::size_t>(ctx.repetition);
-    if (index >= domains.size()) return values;
+    if (index >= domains.size()) return std::vector<double>();
     const Plan& plan = ctx.memo.Get([&] {
       return Plan{filter ? filter(ctx.point) : std::nullopt, PointVantage(ctx.point),
                   PointDay(ctx.point)};
     });
     const Domain& domain = domains[index];
-    if (plan.cdn.has_value() && domain.cdn != *plan.cdn) return values;
+    if (plan.cdn.has_value() && domain.cdn != *plan.cdn) return std::vector<double>();
 
     const ProbeResult result = prober.Probe(domain, plan.vantage, plan.day);
+    std::vector<double> values(metrics.size());
     for (std::size_t m = 0; m < metrics.size(); ++m) {
       values[m] = metrics[m](ctx.point, domain, result);
     }

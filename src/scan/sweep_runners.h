@@ -42,10 +42,11 @@ std::optional<Cdn> PointCdn(const core::SweepPoint& point);
 std::uint64_t PointDay(const core::SweepPoint& point);
 
 /// The CDN a point admits: only domains hosted by it are probed, every
-/// other repetition records "no sample" for every metric and skips the
-/// probe, which is what keeps a CDN axis as cheap as the legacy single-pass
-/// loops. nullopt (or a null filter) admits every domain. Called once per
-/// point, so a filtered repetition costs one CDN compare.
+/// other repetition skips the probe and returns no values ("no sample" for
+/// every metric, no allocation), which is what keeps a CDN axis as cheap as
+/// the legacy single-pass loops. nullopt (or a null filter) admits every
+/// domain. Called once per point, so a filtered repetition costs one CDN
+/// compare.
 using ProbeFilter = std::function<std::optional<Cdn>(const core::SweepPoint&)>;
 
 /// Filter: the point's "cdn" extra (every domain when the axis is absent).

@@ -16,6 +16,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "core/json.h"
 #include "core/sweep.h"
@@ -156,6 +158,53 @@ TEST(JsonParser, NumbersAndLiterals) {
   EXPECT_EQ(prefix->AsNumber(), 12.0);
 }
 
+// Whitespace is RFC 8259's four characters only: \v and \f (which
+// std::isspace accepts) are rejected, and the error names the value.
+TEST(JsonParser, WhitespaceIsOnlySpaceTabLfCr) {
+  const std::optional<JsonValue> spaced = Parse(" \t\r\n{ \"a\" :\t[ 1 ,\r\n2 ] }\n ");
+  ASSERT_TRUE(spaced.has_value());
+  EXPECT_EQ(spaced->Get("a")->Items().size(), 2u);
+
+  std::string error;
+  EXPECT_FALSE(Parse("[1,\v2]", &error).has_value());
+  EXPECT_NE(error.find("at $[1]"), std::string::npos) << error;
+  EXPECT_FALSE(Parse("{\"a\":\f1}", &error).has_value());
+  EXPECT_NE(error.find("at $.a"), std::string::npos) << error;
+  EXPECT_FALSE(Parse("{\"a\": [0, {\"b\": \v1}]}", &error).has_value());
+  EXPECT_NE(error.find("at $.a[1].b"), std::string::npos) << error;
+  EXPECT_FALSE(Parse("\f[]", &error).has_value());
+  EXPECT_NE(error.find("at $ "), std::string::npos) << error;
+  EXPECT_FALSE(Parse("[]\v", &error).has_value());
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+}
+
+// Integer literals of up to 15 digits are read by exact accumulation; longer
+// ones, fractions and exponents by from_chars. Both agree with strtod.
+TEST(JsonParser, IntegerLiteralsReadExactly) {
+  std::mt19937_64 rng(7);
+  std::string doc = "[-0, 0, 999999999999999, -999999999999999, 1000000000000000, "
+                    "9007199254740993, 123456789012345678901234567890";
+  for (int i = 0; i < 2000; ++i) {
+    const int digits = 1 + static_cast<int>(rng() % 19);
+    std::string literal = std::to_string(1 + rng() % 9);
+    while (static_cast<int>(literal.size()) < digits) literal += std::to_string(rng() % 10);
+    doc += (rng() % 2 == 0 ? ", -" : ", ") + literal;
+  }
+  doc += "]";
+  const std::optional<JsonValue> parsed = Parse(doc);
+  ASSERT_TRUE(parsed.has_value());
+  std::istringstream literals(doc.substr(1, doc.size() - 2));
+  std::string literal;
+  std::size_t i = 0;
+  while (std::getline(literals, literal, ',')) {
+    const double want = std::strtod(literal.c_str(), nullptr);
+    const double got = parsed->Items()[i++].AsNumber(1.0);
+    EXPECT_EQ(got, want) << literal;
+    EXPECT_EQ(std::signbit(got), std::signbit(want)) << literal;
+  }
+  EXPECT_EQ(i, parsed->Items().size());
+}
+
 /// The number writer as it was built on snprintf/strtod: the reference the
 /// to_chars codec must match byte for byte.
 std::string ReferenceJsonNumber(double v) {
@@ -253,6 +302,29 @@ TEST(JsonNumber, MatchesSnprintfReferenceByteForByte) {
   EXPECT_EQ(mismatches, 0u);
 }
 
+// Next to a power of two the ulp below v is half the ulp above, so v rounded
+// to 16 digits can fail to read back while another 16-digit form does:
+// the writer's one case that needs more than the shortest digits. Every
+// normal power of two and its nearest neighbours, both signs.
+TEST(JsonNumber, PowersOfTwoMatchSnprintfReference) {
+  std::size_t mismatches = 0;
+  for (int k = -1022; k <= 1023; ++k) {
+    const double power = std::ldexp(1.0, k);
+    double up = power;
+    double down = power;
+    for (int n = 0; n < 3; ++n) {
+      for (double v : {up, down, -up, -down}) {
+        if (JsonNumber(v) != ReferenceJsonNumber(v) && ++mismatches <= 10) {
+          ADD_FAILURE() << "JsonNumber(" << ReferenceJsonNumber(v) << ") wrote " << JsonNumber(v);
+        }
+      }
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 /// A tiny synthetic spec for the partial-file round trip.
 SweepSpec BudgetSpec() {
   SweepSpec spec;
@@ -310,6 +382,31 @@ TEST(JsonParser, PartialDocumentRejectsWrongShapes) {
   EXPECT_FALSE(
       ParseSweepPartialJson(R"({"format": "quicer-sweep-partial-v1"})", &error).has_value());
   EXPECT_NE(error.find("points"), std::string::npos);
+
+  // Integer fields must be whole numbers in their type's range (a cast
+  // from anything else is undefined or does not survive a rewrite), and a
+  // summary lists no more samples than its reservoir holds.
+  const std::string doc = SweepPartialJson(RunSweep(BudgetSpec()));
+  ASSERT_TRUE(ParseSweepPartialJson(doc, &error).has_value()) << error;
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = doc;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  for (const auto& [from, to, path] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"\"aborted\": 0", "\"aborted\": -1", "$.points[0].metrics[0].aborted"},
+           {"\"repetitions\": 3", "\"repetitions\": 2.5", "$.repetitions"},
+           {"\"points_total\": 4", "\"points_total\": 1e300", "$.points_total"},
+           {"\"value\": 1}", "\"value\": 9.3e18}", "$.points[0].extras[0].value"},
+           {"\"cert_bytes\": ", "\"cert_bytes\": true, \"y\": ", "$.points[0].cert_bytes"},
+           {"\"reservoir_capacity\": ", "\"reservoir_capacity\": 2, \"x\": ",
+            "$.points[0].metrics[0].samples"}}) {
+    error.clear();
+    EXPECT_FALSE(ParseSweepPartialJson(edited(from, to), &error).has_value()) << to;
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
 }
 
 }  // namespace

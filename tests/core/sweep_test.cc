@@ -12,6 +12,7 @@
 
 #include "core/csv.h"
 #include "core/loss_scenarios.h"
+#include "core/sweep_partial.h"
 #include "core/thread_pool.h"
 
 namespace quicer::core {
@@ -249,6 +250,41 @@ TEST(Sweep, PerMetricExcludeNegativeAndNanSemantics) {
   EXPECT_EQ(excl_trace->aborted, 2u);
   EXPECT_EQ(excl_trace->skipped, 1u);
   EXPECT_DOUBLE_EQ(excl_trace->MedianOrNegative(), 2.5);
+}
+
+// A runner may return fewer values than there are metrics: the missing ones
+// are NoSample(), so an empty vector is "no sample" for every metric.
+TEST(Sweep, ShortRunnerResultMeansNoSample) {
+  SweepSpec spec;
+  spec.name = "short_runner_test";
+  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}}}};
+  spec.repetitions = 9;
+  spec.metrics = {{"trace", MetricMode::kTrace, /*exclude_negative=*/false, nullptr},
+                  {"summary", MetricMode::kSummary, /*exclude_negative=*/true, nullptr},
+                  {"third", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  const auto value = [](const SweepRunContext& ctx) {
+    return static_cast<double>(ctx.point.Extra("k")->value * 100 + ctx.repetition);
+  };
+  spec.runner = [&](const SweepRunContext& ctx) {
+    const double v = ctx.repetition % 2 == 1 ? NoSample() : value(ctx);
+    return std::vector<double>{v, v, ctx.repetition % 4 == 2 ? NoSample() : v};
+  };
+  const SweepResult padded = RunSweep(spec, 4);
+  spec.runner = [&](const SweepRunContext& ctx) {
+    if (ctx.repetition % 2 == 1) return std::vector<double>();
+    const double v = value(ctx);
+    if (ctx.repetition % 4 == 2) return std::vector<double>{v, v};
+    return std::vector<double>{v, v, v};
+  };
+  const SweepResult shortened = RunSweep(spec, 4);
+
+  EXPECT_EQ(SweepResultJson(shortened), SweepResultJson(padded));
+  EXPECT_EQ(SweepPartialJson(shortened), SweepPartialJson(padded));
+  ASSERT_EQ(shortened.points.size(), 2u);
+  EXPECT_EQ(shortened.points[0].Metric("trace")->trace,
+            (std::vector<double>{100, 102, 104, 106, 108}));
+  EXPECT_EQ(shortened.points[0].Metric("trace")->skipped, 4u);
+  EXPECT_EQ(shortened.points[0].Metric("third")->skipped, 6u);
 }
 
 TEST(Sweep, DefaultMetricIsTtfbWithExcludedNegatives) {

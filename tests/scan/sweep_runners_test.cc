@@ -105,6 +105,39 @@ TEST(ProbeRunner, RepetitionWindowsMergeToTheWholeRun) {
   ExpectMatchesReferenceLoop(*merged);
 }
 
+// A filtered repetition returns an empty vector that owns no heap block (the
+// sweep reads it as "no sample" for every metric), and the results match the
+// reference loop; a repetition past the population does the same.
+TEST(ProbeRunner, FilteredRepetitionsAllocateNothing) {
+  core::SweepSpec spec = ScanSpec(/*cdn_axis=*/true);
+  const core::SweepRunner inner = spec.runner;
+  std::atomic<std::size_t> skips{0};
+  std::atomic<std::size_t> probes{0};
+  std::atomic<std::size_t> bad{0};
+  spec.runner = [&](const core::SweepRunContext& ctx) {
+    std::vector<double> values = inner(ctx);
+    const Domain& domain = Population()->domains()[static_cast<std::size_t>(ctx.repetition)];
+    if (domain.cdn == *PointCdn(ctx.point)) {
+      ++probes;
+      if (values.size() != 2) ++bad;
+    } else {
+      ++skips;
+      if (values.capacity() != 0) ++bad;
+    }
+    return values;
+  };
+  const core::SweepResult result = core::RunSweep(spec, 4);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(skips.load() + probes.load(), result.points.size() * kDomains);
+  EXPECT_GT(skips.load(), probes.load());
+  ExpectMatchesReferenceLoop(result);
+
+  const std::vector<core::SweepPoint> points = core::Enumerate(spec);
+  core::PointMemo memo;
+  const core::SweepRunContext past_end{points.front(), static_cast<int>(kDomains), 0, memo};
+  EXPECT_EQ(inner(past_end).capacity(), 0u);
+}
+
 TEST(ProbeRunner, WithoutCdnAxisEveryRepetitionProbes) {
   core::SweepSpec spec = ScanSpec(/*cdn_axis=*/false);
   std::atomic<std::size_t> probes{0};
