@@ -24,6 +24,7 @@
 #include "recovery/rtt_estimator.h"
 #include "recovery/sent_packets.h"
 #include "scan/frontend_cache.h"
+#include "scan/population.h"
 #include "scan/sweep_runners.h"
 #include "sim/arena.h"
 #include "sim/event_queue.h"
@@ -260,6 +261,15 @@ void BM_ProbeRunnerRepetition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeRunnerRepetition);
+
+void BM_TrancoPopulationBuild(benchmark::State& state) {
+  // scan::TrancoPopulation over 100,000 ranks: the CDN slot pool, its
+  // shuffle and the per-domain ground-truth draws, reported per build.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scan::TrancoPopulation(100'000, 3).domains().data());
+  }
+}
+BENCHMARK(BM_TrancoPopulationBuild)->Unit(benchmark::kMicrosecond);
 
 /// One shard of the §4.3 scan as the sharded path writes it: the Table 1
 /// sweep (8 CDN points, about 7,200 0/1 iack samples in summary mode) and

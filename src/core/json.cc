@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <system_error>
 
 namespace quicer::core {
@@ -211,8 +212,9 @@ class JsonParser {
       ++end;
       if (!digits()) return Fail("malformed number");
     }
+    std::size_t exponent_begin = end;  // sign or first digit; == end: none
     if (at("eE")) {
-      ++end;
+      exponent_begin = ++end;
       if (at("+-")) ++end;
       if (!digits()) return Fail("malformed number");
     }
@@ -235,11 +237,39 @@ class JsonParser {
     }
     const char* begin = text_.data() + pos_;
     const char* last = text_.data() + end;
-    if (std::from_chars(begin, last, out.number_).ec != std::errc()) {
+    const std::errc ec = std::from_chars(begin, last, out.number_).ec;
+    if (ec == std::errc::result_out_of_range &&
+        Overflows(int_begin, int_end, exponent_begin, end)) {
+      // The writer spells ±inf as ±1e999; any overflow reads back as ±inf.
+      out.number_ = negative ? -std::numeric_limits<double>::infinity()
+                             : std::numeric_limits<double>::infinity();
+    } else if (ec != std::errc()) {
       return Fail("number out of range: " + std::string(begin, last));
     }
     pos_ = end;
     return true;
+  }
+
+  // from_chars reports overflow and underflow alike. A number overflowed
+  // when it is at least 1: its leading digit's decimal order plus its
+  // exponent is positive.
+  bool Overflows(std::size_t int_begin, std::size_t int_end, std::size_t exponent_begin,
+                 std::size_t end) const {
+    std::int64_t order = static_cast<std::int64_t>(int_end - int_begin);
+    if (text_[int_begin] == '0') {  // 0.00d: minus the zeros after the point
+      order = 0;
+      for (std::size_t i = int_end + 1; i < end && text_[i] == '0'; ++i) --order;
+    }
+    std::int64_t exponent = 0;
+    if (exponent_begin < end) {
+      const bool minus = text_[exponent_begin] == '-';
+      std::size_t i = exponent_begin + (IsDigit(text_[exponent_begin]) ? 0 : 1);
+      for (; i < end && exponent < 1'000'000'000'000; ++i) {
+        exponent = exponent * 10 + (text_[i] - '0');
+      }
+      if (minus) exponent = -exponent;
+    }
+    return order + exponent > 0;
   }
 
   bool ParseArray(JsonValue& out, int depth) {
@@ -432,6 +462,11 @@ void AppendJsonNumber(std::string& out, double v) {
     out += "null";
     return;
   }
+  // JSON has no infinity; 1e999 is a valid number that overflows back to it.
+  if (std::isinf(v)) {
+    out += v > 0 ? "1e999" : "-1e999";
+    return;
+  }
   // Shortest representation that still round-trips exactly: scenario files
   // are hand-edited, so "2.8" beats "2.7999999999999998" — but byte-exact
   // parse-back is what the sharded/merged byte-identity rests on, so wider
@@ -451,7 +486,7 @@ void AppendJsonNumber(std::string& out, double v) {
     }
   }
   // Subnormals have fewer significant bits, so the argument below does not
-  // hold for them; ±inf has no digits.
+  // hold for them.
   if (!std::isnormal(v)) {
     AppendFirstRoundTrip(out, v);
     return;

@@ -23,7 +23,8 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parses one JSON document (trailing whitespace allowed, trailing garbage
-  /// is an error). Numbers follow JSON's grammar and must fit a double.
+  /// is an error). Numbers follow JSON's grammar; one that overflows a
+  /// double reads as ±inf, one that underflows is an error.
   /// Returns nullopt and fills `error`, naming the failing value's path, on
   /// malformed input.
   static std::optional<JsonValue> Parse(std::string_view text, std::string* error = nullptr);
@@ -78,9 +79,10 @@ std::string JsonEscape(const std::string& s);
 /// Appends the shortest of %.15g, %.16g and %.17g that round-trips the
 /// double exactly — exact parse-back is the property the sharded sweep
 /// workflow relies on for byte-identical merged exports, and the short form
-/// keeps scenario files hand-editable. NaN renders as null. A normal double
-/// costs one shortest to_chars call (two or three when its shortest form
-/// has 16 digits), not a formatting and parse-back per tried precision.
+/// keeps scenario files hand-editable. NaN renders as null and ±inf as
+/// ±1e999, which the parser reads back as ±inf. A normal double costs one
+/// shortest to_chars call (two or three when its shortest form has 16
+/// digits), not a formatting and parse-back per tried precision.
 void AppendJsonNumber(std::string& out, double v);
 /// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double v);

@@ -20,7 +20,7 @@
 
 namespace quicer::scan {
 
-enum class Cdn {
+enum class Cdn : std::uint8_t {
   kAkamai,
   kAmazon,
   kCloudflare,

@@ -40,10 +40,12 @@ TrancoPopulation::TrancoPopulation(std::size_t size, std::uint64_t seed) {
     const CdnProfile& profile = GetCdnProfile(slots[slot++]);
     domain.speaks_quic = true;
     domain.cdn = profile.cdn;
-    domain.asn = profile.as_numbers.empty()
-                     ? static_cast<std::uint32_t>(64512 + rng.UniformInt(0, 1023))
-                     : profile.as_numbers[static_cast<std::size_t>(
-                           rng.UniformInt(0, static_cast<int>(profile.as_numbers.size()) - 1))];
+    // Draw the origin AS (Table 5) but do not store it: nothing reads it,
+    // and dropping the draw would shift every later draw and so every scan
+    // export.
+    rng.UniformInt(0, profile.as_numbers.empty()
+                          ? 1023
+                          : static_cast<int>(profile.as_numbers.size()) - 1);
     domain.iack_enabled = rng.Bernoulli(profile.iack_share);
     // Popularity-dependent certificate caching: only genuinely hot domains
     // (the discord.com case: 91.9 % coalesced) keep their certificate on the
@@ -61,7 +63,6 @@ TrancoPopulation::TrancoPopulation(std::size_t size, std::uint64_t seed) {
     const CdnProfile& profile = GetCdnProfile(slots[slot++]);
     domain.speaks_quic = true;
     domain.cdn = profile.cdn;
-    domain.asn = profile.as_numbers.empty() ? 64512u : profile.as_numbers.front();
     domain.iack_enabled = rng.Bernoulli(profile.iack_share);
     domain.cache_probability = 0.001;
   }

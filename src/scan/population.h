@@ -2,8 +2,8 @@
 //
 // Builds a ranked list of domains, assigns the CDN-hosted subset according
 // to the per-CDN counts of Table 1 (scaled to the population size), and
-// derives per-domain ground truth: origin AS, instant-ACK deployment (with
-// the day/vantage variation the paper observed, up to 18 % for Amazon), and
+// derives per-domain ground truth: instant-ACK deployment (with the
+// day/vantage variation the paper observed, up to 18 % for Amazon), and
 // certificate-cache popularity (popular domains are more likely served a
 // coalesced ACK+SH — the effect behind Fig 9's discord.com vs tinyurl.com
 // difference).
@@ -17,16 +17,18 @@
 
 namespace quicer::scan {
 
+/// One ranked domain. Fields are ordered by alignment so a 1M-domain
+/// population takes 16 MB.
 struct Domain {
-  int rank = 0;              // 1-based Tranco rank
-  bool speaks_quic = false;  // non-CDN, non-QUIC domains fail the probe
-  Cdn cdn = Cdn::kOthers;
-  std::uint32_t asn = 0;
-  /// Stable per-domain IACK deployment decision.
-  bool iack_enabled = false;
   /// Probability the certificate is cached on the frontend at probe time.
   double cache_probability = 0.0;
+  int rank = 0;              // 1-based Tranco rank
+  Cdn cdn = Cdn::kOthers;
+  bool speaks_quic = false;  // non-CDN, non-QUIC domains fail the probe
+  /// Stable per-domain IACK deployment decision.
+  bool iack_enabled = false;
 };
+static_assert(sizeof(Domain) == 16);
 
 class TrancoPopulation {
  public:

@@ -134,11 +134,25 @@ TEST(JsonParser, NumbersAndLiterals) {
   EXPECT_EQ(extremes->Items()[3].AsNumber(), 1e5);
   EXPECT_EQ(extremes->Items()[4].AsNumber(), 100.0);
 
-  // Out of range is an error, not inf or 0, and the error names the value.
+  // Overflow reads as ±inf, the writer's spelling of infinity.
+  const std::optional<JsonValue> overflows =
+      Parse("[1e999, -1e999, 1e309, 0.5e400, 1000e306, -0.001e312]");
+  ASSERT_TRUE(overflows.has_value());
+  for (std::size_t i = 0; i < overflows->Items().size(); ++i) {
+    const double v = overflows->Items()[i].AsNumber();
+    EXPECT_TRUE(std::isinf(v)) << i;
+    EXPECT_EQ(std::signbit(v), i == 1 || i == 5) << i;
+  }
+
+  // Underflow is an error, not 0, and the error names the value.
   std::string error;
-  EXPECT_FALSE(Parse(R"({"a": [1, 1e999]})", &error).has_value());
-  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
-  EXPECT_NE(error.find("$.a[1]"), std::string::npos) << error;
+  for (const char* doc : {R"({"a": [1, 1e-999]})", R"({"a": [1, 1000e-1000]})",
+                          R"({"a": [1, 0.0001e-321]})"}) {
+    error.clear();
+    EXPECT_FALSE(Parse(doc, &error).has_value()) << doc;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    EXPECT_NE(error.find("$.a[1]"), std::string::npos) << error;
+  }
   EXPECT_FALSE(Parse(R"({"points": [{"trace": [0, -1e-400]}]})", &error).has_value());
   EXPECT_NE(error.find("out of range"), std::string::npos) << error;
   EXPECT_NE(error.find("$.points[0].trace[1]"), std::string::npos) << error;
@@ -206,9 +220,11 @@ TEST(JsonParser, IntegerLiteralsReadExactly) {
 }
 
 /// The number writer as it was built on snprintf/strtod: the reference the
-/// to_chars codec must match byte for byte.
+/// to_chars codec must match byte for byte. The one departure is ±inf, which
+/// %g writes as inf and the writer as ±1e999 so that it parses back.
 std::string ReferenceJsonNumber(double v) {
   if (std::isnan(v)) return "null";
+  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
   char buffer[32];
   for (int precision = 15; precision <= 17; ++precision) {
     std::snprintf(buffer, sizeof(buffer), "%.*g", precision, v);
@@ -372,6 +388,40 @@ TEST(JsonParser, PartialFileRoundTripIncludesBudgetSkippedPoints) {
   const std::optional<SweepResult> merged = MergeSweepResults({*reread, *rerun}, &error);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(RunSweep(BudgetSpec())));
+}
+
+// An infinite sample, and the infinite m2 of an overflowed accumulator,
+// write as ±1e999, parse back as ±inf and merge to the unsharded result.
+TEST(JsonParser, PartialDocumentsWithInfinityParseAndMerge) {
+  const double inf = std::numeric_limits<double>::infinity();
+  SweepSpec sample_spec = BudgetSpec();
+  sample_spec.runner = [inf](const SweepRunContext& ctx) {
+    return std::vector<double>{ctx.repetition == 1 ? -inf : 1.0};
+  };
+  SweepSpec m2_spec = BudgetSpec();
+  m2_spec.reservoir_capacity = 2;
+  m2_spec.runner = [](const SweepRunContext& ctx) {
+    return std::vector<double>{ctx.repetition % 2 == 0 ? 1e300 : -1e300};
+  };
+  for (const SweepSpec& spec : {sample_spec, m2_spec}) {
+    std::vector<SweepResult> partials;
+    for (std::size_t index = 0; index < 2; ++index) {
+      SweepSpec shard_spec = spec;
+      shard_spec.shard.index = index;
+      shard_spec.shard.count = 2;
+      const std::string doc = SweepPartialJson(RunSweep(shard_spec));
+      EXPECT_NE(doc.find("1e999"), std::string::npos) << doc;
+      std::string error;
+      std::optional<SweepResult> partial = ParseSweepPartialJson(doc, &error);
+      ASSERT_TRUE(partial.has_value()) << error;
+      EXPECT_EQ(SweepPartialJson(*partial), doc);
+      partials.push_back(std::move(*partial));
+    }
+    std::string error;
+    const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
+    ASSERT_TRUE(merged.has_value()) << error;
+    EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(RunSweep(spec)));
+  }
 }
 
 TEST(JsonParser, PartialDocumentRejectsWrongShapes) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "scan/cdn_model.h"
 #include "scan/population.h"
 #include "scan/prober.h"
@@ -86,6 +89,30 @@ TEST(Population, DeterministicForSeed) {
     EXPECT_EQ(a.domains()[i].cdn, b.domains()[i].cdn);
     EXPECT_EQ(a.domains()[i].iack_enabled, b.domains()[i].iack_enabled);
   }
+}
+
+// Pins every stored field of a 200k population, so a layout change or a
+// dropped RNG draw (the AS-number draw is kept though its value is not
+// stored) that shifts the stream fails here before it moves any export.
+TEST(Population, StreamMatchesRecordedDigest) {
+  TrancoPopulation population(200000, 3);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const Domain& domain : population.domains()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &domain.cache_probability, sizeof(bits));
+    mix(static_cast<std::uint64_t>(domain.rank));
+    mix(static_cast<std::uint64_t>(domain.cdn));
+    mix(domain.speaks_quic ? 1 : 0);
+    mix(domain.iack_enabled ? 1 : 0);
+    mix(bits);
+  }
+  EXPECT_EQ(hash, 0xebd6e343d2fce3d3ULL);
 }
 
 TEST(Population, IackShareMatchesGroundTruth) {
