@@ -80,38 +80,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// Writes telemetry records as the --telemetry report file.
-bool WriteTelemetryReport(const std::vector<quicer::obs::SweepRecord>& records,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  out << quicer::obs::TelemetryReportJson(records);
-  if (!out) {
-    std::fprintf(stderr, "cannot write the telemetry report to '%s'\n", path.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "telemetry report (%zu sweeps) -> %s\n", records.size(),
-               path.c_str());
-  return true;
-}
-
-/// Telemetry records of merged partial results (merge / collect paths):
-/// the bench label is unknown to a merge process, so it stays empty unless
-/// the caller fills it from a manifest.
-std::vector<quicer::obs::SweepRecord> RecordsOfMerged(
-    const std::vector<quicer::core::SweepResult>& merged) {
-  std::vector<quicer::obs::SweepRecord> records;
-  for (const quicer::core::SweepResult& result : merged) {
-    if (!result.telemetry.enabled) continue;
-    quicer::obs::SweepRecord record;
-    record.sweep = result.name;
-    record.wall_seconds = result.telemetry.wall_seconds;
-    record.executed_runs = result.executed_runs;
-    record.counters = result.telemetry.counters;
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
 /// Creates --qlog-dir (so per-run traces have somewhere to land) or fails
 /// loudly; an unwritable directory would silently drop every trace.
 bool PrepareQlogDir(const std::string& dir) {
@@ -147,7 +115,7 @@ int Usage(const char* argv0) {
       "  --list        list registered benches and exit\n"
       "  --filter=S    run only benches whose name contains S\n"
       "  --threads=N   size of the shared thread pool (default: hardware)\n"
-      "  --data-dir=D  write per-sweep CSV/JSON into D (sets QUICER_DATA_DIR)\n"
+      "  --data-dir=D  write per-sweep CSV/JSON into D (default: QUICER_DATA_DIR)\n"
       "  --scale=N     multiply experiment-sweep repetitions by N and widen\n"
       "                RTT/delta axes (paper grids: --scale=4; default 1)\n"
       "  --progress    per-sweep progress lines on stderr (points done,\n"
@@ -245,11 +213,13 @@ int RunMerge(int argc, char** argv) {
                                             telemetry_path.empty() ? nullptr : &merged)) {
     return 1;
   }
-  if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(RecordsOfMerged(merged), telemetry_path)) {
-    return 1;
+  if (telemetry_path.empty()) return 0;
+  // A merge process does not know the bench labels, so they stay empty.
+  std::vector<quicer::obs::SweepRecord> records;
+  for (const quicer::core::SweepResult& result : merged) {
+    if (result.telemetry.enabled) records.push_back(quicer::core::TelemetryRecordOf(result, ""));
   }
-  return 0;
+  return quicer::obs::WriteTelemetryReport(records, telemetry_path, stderr) ? 0 : 1;
 }
 
 /// Parses the value of a numeric `--name=value` option strictly: all of it
@@ -355,7 +325,7 @@ OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
       std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
       return OptionStatus::kInvalid;
     }
-    setenv("QUICER_DATA_DIR", dir, 1);
+    context.data_dir = dir;
   } else if (arg == "--progress") {
     context.progress = true;
   } else if (arg.rfind("--budget-seconds=", 0) == 0) {
@@ -383,11 +353,19 @@ OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
   return OptionStatus::kTaken;
 }
 
+/// The context a suite or `run --grid` starts from: the export directory
+/// defaults to QUICER_DATA_DIR, read here once; --data-dir overrides it.
+BenchContext DriverContext() {
+  BenchContext context;
+  if (const char* dir = std::getenv("QUICER_DATA_DIR")) context.data_dir = dir;
+  return context;
+}
+
 /// A sharded run's only useful product is its partial-result files; without
 /// a data dir the whole run would be silently discarded. Prints the error
 /// and returns true in that case.
 bool ShardedRunLacksDataDir(const BenchContext& context) {
-  if (context.shard.all() || std::getenv("QUICER_DATA_DIR") != nullptr) return false;
+  if (context.shard.all() || !context.data_dir.empty()) return false;
   std::fprintf(stderr,
                "--shard/--points/--rep-range produce partial-result files: pass "
                "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
@@ -421,7 +399,8 @@ int RunTimed(const std::vector<TimedUnit>& units, BenchContext& context,
   }
   quicer::obs::SetCurrentBench("");
   if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
+      !quicer::obs::WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path,
+                                         stderr)) {
     return 1;
   }
 
@@ -658,7 +637,7 @@ int RunExportGrid(int argc, char** argv) {
 int RunGrid(int argc, char** argv) {
   std::string grid_path;
   std::string telemetry_path;
-  BenchContext context;
+  BenchContext context = DriverContext();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--grid=", 0) == 0) {
@@ -942,8 +921,8 @@ int RunWorkerCommand(int argc, char** argv) {
   // unit never looks stale while it makes progress.
   quicer::dist::UnitRunner runner = [&](const quicer::dist::WorkUnit& unit,
                                         const std::string& stage_dir) {
-    setenv("QUICER_DATA_DIR", stage_dir.c_str(), 1);
     BenchContext context;
+    context.data_dir = stage_dir;
     context.scale = queue->manifest().scale;
     context.progress = progress;
     context.shard.points = unit.points;
@@ -1122,7 +1101,7 @@ int main(int argc, char** argv) {
   bool list = false;
   std::string filter;
   std::string telemetry_path;
-  BenchContext context;
+  BenchContext context = DriverContext();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {

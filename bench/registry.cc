@@ -61,7 +61,7 @@ std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& c
   spec.qlog_dir = ctx.qlog_dir;
   core::SweepResult result = core::RunSweep(spec);
 
-  const bool wrote = core::MaybeWriteSweepData(result);
+  const bool wrote = !ctx.data_dir.empty() && core::WriteSweepData(result, ctx.data_dir);
   if (!grid && !result.partial()) return result;
   // Sharded, budget-clipped and grid-driven runs export machine-readable
   // data but skip the bench's printed analysis: its tables would read

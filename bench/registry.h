@@ -76,6 +76,9 @@ struct BenchContext {
   /// When non-empty, every run of every executed sweep writes its qlog
   /// trace pair under this directory (--qlog-dir).
   std::string qlog_dir;
+  /// When non-empty, every executed sweep writes its exports (the CSV/JSON
+  /// pair, or a partial-result file) into this directory (--data-dir).
+  std::string data_dir;
 
   /// True when a scaled run should also widen its RTT/Δt axes.
   bool dense_axes() const { return scale > 1; }
@@ -90,8 +93,8 @@ struct BenchContext {
 ///  3. a sibling of `ctx.sweep_filter` stops without running;
 ///  4. the observer, shard, budget deadline and qlog dir are attached;
 ///  5. core::RunSweep executes the selected subset;
-///  6. the exports are written (the final pair, or a partial file) with
-///     the partial-run and grid-run notes.
+///  6. the exports are written into `ctx.data_dir` (the final pair, or a
+///     partial file) with the partial-run and grid-run notes.
 /// Returns the result only when the bench's printed analysis may read it: a
 /// full run of the compiled-in grid. Otherwise the bench returns 0.
 std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& ctx);

@@ -5,12 +5,14 @@
 //  1. the pre-refactor scheduling: one fresh spawn-and-join thread team per
 //     grid point, parallel only within the point's repetitions;
 //  2. the sweep engine: every (point × repetition) job scheduled globally on
-//     the persistent work-stealing pool, streamed into per-point
+//     the persistent pool as one ParallelFor, streamed into per-point
 //     accumulators.
 //
 // Both produce bit-identical per-point medians (same seed schedule); the
 // engine saves the per-point thread spawn/join overhead and keeps the pool
 // busy across point boundaries, which is what the wall-clock delta shows.
+//
+//   example_sweep_grid [DATA_DIR]   # DATA_DIR: also write the sweep's CSV/JSON
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -49,7 +51,7 @@ std::vector<double> SpawnJoinPerPoint(core::ExperimentConfig config, int repetit
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   core::SweepSpec spec;
   spec.name = "sweep_grid_example";
   spec.base.response_body_bytes = 4096;
@@ -95,6 +97,6 @@ int main() {
               sweep_seconds);
   std::printf("speedup: %.2fx, median mismatches: %zu (must be 0)\n",
               legacy_seconds / sweep_seconds, mismatches);
-  core::MaybeWriteSweepData(result);
+  if (argc > 1) core::WriteSweepData(result, argv[1]);
   return mismatches == 0 ? 0 : 1;
 }

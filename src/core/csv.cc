@@ -1,7 +1,6 @@
 #include "core/csv.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace quicer::core {
 
@@ -48,12 +47,6 @@ void CsvWriter::TextRow(const std::vector<std::string>& fields) {
   }
   out_ << '\n';
   ++rows_;
-}
-
-std::optional<std::string> DataDirFromEnv() {
-  const char* dir = std::getenv("QUICER_DATA_DIR");  // lint:allow(ND003): export destination root, never run behaviour
-  if (dir == nullptr || dir[0] == '\0') return std::nullopt;
-  return std::string(dir);
 }
 
 }  // namespace quicer::core

@@ -1,12 +1,11 @@
 // CSV data export for the benchmark harness.
 //
 // Every bench prints human-readable rows; plotting pipelines want machine-
-// readable series. When the environment variable QUICER_DATA_DIR is set,
-// benches additionally write one CSV per figure into that directory.
+// readable series. Given a data directory (bench_suite --data-dir), benches
+// additionally write one CSV per figure into it.
 #pragma once
 
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,8 +39,5 @@ class CsvWriter {
   std::ofstream out_;
   std::size_t rows_ = 0;
 };
-
-/// Returns the data directory from QUICER_DATA_DIR, or nullopt if unset.
-std::optional<std::string> DataDirFromEnv();
 
 }  // namespace quicer::core

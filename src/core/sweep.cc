@@ -592,15 +592,19 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
         result.telemetry.counters.emplace_back(obs::Descriptors()[i].name, snapshot[i]);
       }
     }
-    obs::SweepRecord record;
-    record.bench = obs::CurrentBench();
-    record.sweep = result.name;
-    record.wall_seconds = wall;
-    record.executed_runs = result.executed_runs;
-    record.counters = result.telemetry.counters;
-    obs::AppendSweepRecord(std::move(record));
+    obs::AppendSweepRecord(TelemetryRecordOf(result, obs::CurrentBench()));
   }
   return result;
+}
+
+obs::SweepRecord TelemetryRecordOf(const SweepResult& result, std::string bench) {
+  obs::SweepRecord record;
+  record.bench = std::move(bench);
+  record.sweep = result.name;
+  record.wall_seconds = result.telemetry.wall_seconds;
+  record.executed_runs = result.executed_runs;
+  record.counters = result.telemetry.counters;
+  return record;
 }
 
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
@@ -873,7 +877,7 @@ std::string SweepResultJson(const SweepResult& result) {
   return out;
 }
 
-// WriteSweepData / MaybeWriteSweepData live in sweep_partial.cc: sharded
-// results write partial-result files instead of the final export pair.
+// WriteSweepData lives in sweep_partial.cc: sharded results write
+// partial-result files instead of the final export pair.
 
 }  // namespace quicer::core

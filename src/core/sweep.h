@@ -69,10 +69,13 @@
 #include "core/experiment.h"
 #include "stats/accumulator.h"
 
+namespace quicer::obs {
+struct SweepRecord;
+}  // namespace quicer::obs
+
 namespace quicer::core {
 
 class CsvWriter;
-class ThreadPool;
 
 /// One named loss scenario. `make` resolves the pattern against the fully
 /// resolved point config, because the paper's deterministic drops depend on
@@ -531,6 +534,10 @@ void WriteSweepCsv(const SweepResult& result, CsvWriter& writer);
 /// a "metrics" array; kTrace series carry their full "trace" vector.
 std::string SweepResultJson(const SweepResult& result);
 
+/// The telemetry report record of `result` (its telemetry, name and
+/// executed runs) under the bench label `bench`.
+obs::SweepRecord TelemetryRecordOf(const SweepResult& result, std::string bench);
+
 /// Writes the result's machine-readable files into `directory`:
 ///  * full results — <name>_sweep.csv and <name>_sweep.json;
 ///  * sharded results — only <name>_sweep.<shard-tag>.json, the
@@ -541,8 +548,5 @@ std::string SweepResultJson(const SweepResult& result);
 ///    (--points) and merged in.
 /// Returns true if files were written.
 bool WriteSweepData(const SweepResult& result, const std::string& directory);
-
-/// WriteSweepData into QUICER_DATA_DIR, when set.
-bool MaybeWriteSweepData(const SweepResult& result);
 
 }  // namespace quicer::core

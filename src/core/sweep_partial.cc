@@ -33,6 +33,15 @@ std::string U64String(std::uint64_t v) {
   return buffer;
 }
 
+/// Member `key` of an overflowed accumulator's moments: the writer spells
+/// NaN (the moments an infinite sample leaves) as null, so null reads back
+/// as NaN; an absent member reads as 0.
+double Moment(const JsonValue& overflow, std::string_view key) {
+  const JsonValue* value = overflow.Get(key);
+  if (value == nullptr) return 0.0;
+  return value->is_null() ? std::numeric_limits<double>::quiet_NaN() : value->AsNumber();
+}
+
 std::vector<double> ParseDoubleArray(const JsonValue& value) {
   std::vector<double> out;
   out.reserve(value.Items().size());
@@ -312,12 +321,12 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
         if (const JsonValue* overflow = metric.Get("overflow")) {
           state.overflowed = true;
           state.count = whole.Size(*overflow, "count", metric_where + ".overflow");
-          state.mean = overflow->GetNumber("mean");
-          state.m2 = overflow->GetNumber("m2");
-          state.min = overflow->GetNumber("min");
-          state.max = overflow->GetNumber("max");
-          state.histo_lo = overflow->GetNumber("lo");
-          state.histo_hi = overflow->GetNumber("hi");
+          state.mean = Moment(*overflow, "mean");
+          state.m2 = Moment(*overflow, "m2");
+          state.min = Moment(*overflow, "min");
+          state.max = Moment(*overflow, "max");
+          state.histo_lo = Moment(*overflow, "lo");
+          state.histo_hi = Moment(*overflow, "hi");
           if (const JsonValue* bins = overflow->Get("bins")) {
             state.bins = whole.Sizes(*bins, metric_where + ".overflow.bins");
           }
@@ -394,12 +403,6 @@ bool WriteSweepData(const SweepResult& result, const std::string& directory) {
   if (!partial.is_open()) return false;
   partial << SweepPartialJson(result);
   return true;
-}
-
-bool MaybeWriteSweepData(const SweepResult& result) {
-  const auto dir = DataDirFromEnv();
-  if (!dir) return false;
-  return WriteSweepData(result, *dir);
 }
 
 bool MergeSweepPartialFiles(const std::vector<std::string>& files, const std::string& out_dir,

@@ -1,24 +1,20 @@
-// Persistent work-stealing thread pool.
+// Persistent thread pool with one parallel-execution API: ParallelFor.
 //
-// The benches sweep thousands of (scenario point × repetition) experiment
-// jobs. The original harness spawned and joined a fresh set of std::threads
-// for every sweep point, parallelising only within a point; this pool is
-// created once per process, schedules all jobs of a sweep globally, and is
-// shared by every bench in a suite run.
+// Created once per process and shared by every bench of a suite run, so a
+// sweep's (point × repetition) jobs run as one loop instead of one
+// spawn-and-join thread team per point.
 //
-// Design: each worker owns a deque guarded by its own mutex. Submitted tasks
-// are distributed round-robin (or pushed locally when submitted from a
-// worker); an idle worker pops from the front of its own deque and steals
-// from the back of a victim's when empty. Determinism of experiment sweeps
-// does not depend on scheduling order: every job writes to a result slot
-// keyed by its (point, repetition) index, so outputs are bit-identical to a
-// serial run regardless of thread count.
+// Design: a ParallelFor call is one loop over a shared atomic index. The
+// caller queues up to Lanes() - 1 helper lanes on the pool's one FIFO lane
+// queue, wakes workers through one condition variable, then drains the loop
+// itself, so the loop finishes even if no worker ever picks up a helper:
+// nested calls and calls from several threads complete. Sweep outputs do
+// not depend on scheduling order: every job writes a slot keyed by its
+// (point, repetition) index, so they are bit-identical at any thread count.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -30,25 +26,20 @@ namespace quicer::core {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
-
   /// Creates `threads` workers (0 = hardware concurrency, minimum 1).
   explicit ThreadPool(unsigned threads = 0);
 
-  /// Drains remaining tasks, then joins every worker.
+  /// Joins every worker. Helper lanes still queued belong to loops whose
+  /// callers already drained them, so they are dropped unrun.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues one task. Thread-safe.
-  void Submit(Task task);
-
   /// Runs fn(0) .. fn(count-1), blocking until every call has returned.
   /// At most `max_parallelism` indices run concurrently (0 = no cap beyond
-  /// the pool size). The calling thread participates in the work, so
-  /// ParallelFor makes progress even when every worker is busy — including
-  /// when it is invoked from inside a pool task (nested parallelism).
+  /// the pool size). The calling thread is one of the lanes, so nested calls
+  /// and calls from several threads at once complete. Thread-safe.
   void ParallelFor(std::size_t count, const std::function<void(std::size_t)>& fn,
                    unsigned max_parallelism = 0);
 
@@ -66,22 +57,15 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
+  struct Loop;
 
-  void WorkerLoop(unsigned index);
-  bool TryPop(unsigned self, Task& task);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<std::shared_ptr<Loop>> lanes_;  // queued helper lanes, FIFO
+  bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<unsigned> next_queue_{0};
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace quicer::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <utility>
 
@@ -219,23 +218,13 @@ bool Collect(const WorkQueue& queue, const std::string& out_dir, CollectReport* 
                    partials.size(), merged->points.size(), merged->executed_runs);
     }
     if (!telemetry_file.empty() && merged->telemetry.enabled) {
-      obs::SweepRecord record;
-      record.bench = group.inventory->bench;
-      record.sweep = merged->name;
-      record.wall_seconds = merged->telemetry.wall_seconds;
-      record.executed_runs = merged->executed_runs;
-      record.counters = merged->telemetry.counters;
-      telemetry_records.push_back(std::move(record));
+      telemetry_records.push_back(core::TelemetryRecordOf(*merged, group.inventory->bench));
     }
   }
-  if (!telemetry_file.empty()) {
-    std::ofstream out(telemetry_file, std::ios::trunc);
-    out << obs::TelemetryReportJson(telemetry_records);
-    if (!out) return fail("cannot write the telemetry report to '" + telemetry_file + "'");
-    if (log != nullptr) {
-      std::fprintf(log, "telemetry report (%zu sweeps) -> %s\n", telemetry_records.size(),
-                   telemetry_file.c_str());
-    }
+  if (!telemetry_file.empty() &&
+      !obs::WriteTelemetryReport(telemetry_records, telemetry_file, log)) {
+    r.error = "telemetry report not written to '" + telemetry_file + "'";
+    return false;
   }
   r.complete = true;
   return true;

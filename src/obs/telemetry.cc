@@ -1,6 +1,8 @@
 #include "obs/telemetry.h"
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <mutex>
 
@@ -181,6 +183,20 @@ std::string TelemetryReportJson(const std::vector<SweepRecord>& records) {
   out += first_record ? "]" : "\n  ]";
   out += "\n}\n";
   return out;
+}
+
+bool WriteTelemetryReport(const std::vector<SweepRecord>& records, const std::string& path,
+                          std::FILE* log) {
+  std::ofstream out(path, std::ios::trunc);
+  out << TelemetryReportJson(records);
+  if (log != nullptr) {
+    if (out) {
+      std::fprintf(log, "telemetry report (%zu sweeps) -> %s\n", records.size(), path.c_str());
+    } else {
+      std::fprintf(log, "cannot write the telemetry report to '%s'\n", path.c_str());
+    }
+  }
+  return static_cast<bool>(out);
 }
 
 }  // namespace quicer::obs

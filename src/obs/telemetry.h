@@ -29,6 +29,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -197,5 +198,11 @@ std::uint64_t RecordCounter(const SweepRecord& record, std::string_view name);
 /// ("quicer-telemetry-v1"): per record wall time, executed runs, derived
 /// events/sec, and the raw counters object.
 std::string TelemetryReportJson(const std::vector<SweepRecord>& records);
+
+/// Writes TelemetryReportJson(records) to `path` — the one writer of the
+/// report file — and says on `log` (when non-null) where it went or that it
+/// could not be written. Returns false in the latter case.
+bool WriteTelemetryReport(const std::vector<SweepRecord>& records, const std::string& path,
+                          std::FILE* log);
 
 }  // namespace quicer::obs

@@ -118,24 +118,4 @@ std::vector<std::pair<double, double>> Cdf::SampleLogX(double lo, double hi,
   return out;
 }
 
-void Running::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Running::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Running::stddev() const { return std::sqrt(variance()); }
-
 }  // namespace quicer::stats

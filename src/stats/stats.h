@@ -74,23 +74,4 @@ class Cdf {
   std::vector<double> sorted_;
 };
 
-/// Running mean/variance accumulator (Welford) for streaming statistics.
-class Running {
- public:
-  void Add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // sample variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace quicer::stats

@@ -69,14 +69,5 @@ TEST(Csv, EmptyDirectoryMeansDetached) {
   EXPECT_FALSE(writer.active());
 }
 
-TEST(Csv, DataDirFromEnvRoundTrip) {
-  ::setenv("QUICER_DATA_DIR", "/tmp/quicer-data", 1);
-  auto dir = DataDirFromEnv();
-  ASSERT_TRUE(dir.has_value());
-  EXPECT_EQ(*dir, "/tmp/quicer-data");
-  ::unsetenv("QUICER_DATA_DIR");
-  EXPECT_FALSE(DataDirFromEnv().has_value());
-}
-
 }  // namespace
 }  // namespace quicer::core

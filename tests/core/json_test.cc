@@ -424,6 +424,39 @@ TEST(JsonParser, PartialDocumentsWithInfinityParseAndMerge) {
   }
 }
 
+// An infinite sample in an overflowed reservoir leaves NaN moments, which
+// the writer spells null; they must read back as NaN, or the document does
+// not rewrite to the same bytes and the series does not survive a shard and
+// merge.
+TEST(JsonParser, OverflowedMomentsOfAnInfiniteSampleRoundTrip) {
+  SweepSpec spec = BudgetSpec();  // 3 repetitions
+  spec.reservoir_capacity = 2;
+  spec.runner = [](const SweepRunContext& ctx) {
+    return std::vector<double>{ctx.repetition == 1 ? std::numeric_limits<double>::infinity()
+                                                   : 1.0};
+  };
+  const std::string doc = SweepPartialJson(RunSweep(spec));
+  EXPECT_NE(doc.find("\"mean\": null, \"m2\": null"), std::string::npos) << doc;
+  std::string error;
+  const std::optional<SweepResult> parsed = ParseSweepPartialJson(doc, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(SweepPartialJson(*parsed), doc);
+
+  std::vector<SweepResult> partials;
+  for (std::size_t index = 0; index < 2; ++index) {
+    SweepSpec shard_spec = spec;
+    shard_spec.shard.index = index;
+    shard_spec.shard.count = 2;
+    std::optional<SweepResult> partial =
+        ParseSweepPartialJson(SweepPartialJson(RunSweep(shard_spec)), &error);
+    ASSERT_TRUE(partial.has_value()) << error;
+    partials.push_back(std::move(*partial));
+  }
+  const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(RunSweep(spec)));
+}
+
 TEST(JsonParser, PartialDocumentRejectsWrongShapes) {
   std::string error;
   EXPECT_FALSE(ParseSweepPartialJson("{}", &error).has_value());

@@ -1,10 +1,11 @@
 // TSan-targeted stress coverage for the concurrency hot spots the tsan CI
-// job exists to watch: ThreadPool work stealing under submission pressure,
-// shutdown while tasks are in flight (including tasks that Submit more
-// work), the serialized SweepObserver contract, and telemetry counting
-// concurrent with the end-of-loop snapshot. The assertions are deliberately coarse — the
-// point of these tests is the interleavings they force under
-// -DQUICER_SANITIZE=thread, where any unsynchronized access fails the run.
+// job exists to watch: ParallelFor called from several external threads at
+// once, pools destroyed while helper lanes may still be queued, nested loops
+// from every worker, the serialized SweepObserver contract, and telemetry
+// counting concurrent with the end-of-loop snapshot. The assertions are
+// deliberately coarse — the point of these tests is the interleavings they
+// force under -DQUICER_SANITIZE=thread, where any unsynchronized access
+// fails the run.
 #include "core/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -22,49 +23,55 @@ namespace {
 
 constexpr unsigned kStressThreads = 8;
 
-TEST(ThreadPoolStress, WorkStealingUnderCrossThreadSubmission) {
-  // Four external threads race Submit against eight workers stealing from
-  // each other's deques; every task must run exactly once. The assertion
-  // runs after ~ThreadPool, which drains every queued task before joining.
-  constexpr int kSubmitters = 4;
-  constexpr int kTasksPerSubmitter = 2000;
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(kStressThreads);
-    std::vector<std::thread> submitters;
-    submitters.reserve(kSubmitters);
-    for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &executed] {
-        for (int i = 0; i < kTasksPerSubmitter; ++i) {
-          pool.Submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-        }
+TEST(ThreadPoolStress, ConcurrentParallelForFromExternalThreads) {
+  // Four external threads and the owning thread race their loops' helper
+  // lanes through the one lane queue; every index of every loop must run
+  // exactly once.
+  constexpr int kCallers = 4;
+  constexpr int kLoopsPerCaller = 20;
+  constexpr std::size_t kCount = 200;
+  ThreadPool pool(kStressThreads);
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers + 1);
+  for (auto& caller : hits) caller = std::vector<std::atomic<int>>(kCount);
+  auto run_loops = [&pool, &hits](int caller) {
+    for (int loop = 0; loop < kLoopsPerCaller; ++loop) {
+      pool.ParallelFor(kCount, [&hits, caller](std::size_t i) {
+        hits[caller][i].fetch_add(1, std::memory_order_relaxed);
       });
     }
-    // ParallelFor interleaves its lanes with the external submissions, so
-    // stealing crosses both kinds of work while the deques churn.
-    pool.ParallelFor(256, [](std::size_t) {});
-    for (std::thread& t : submitters) t.join();
+  };
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) callers.emplace_back(run_loops, c);
+  run_loops(kCallers);
+  for (std::thread& t : callers) t.join();
+  for (const auto& caller : hits) {
+    for (const std::atomic<int>& hit : caller) ASSERT_EQ(hit.load(), kLoopsPerCaller);
   }
-  EXPECT_EQ(executed.load(), kSubmitters * kTasksPerSubmitter);
 }
 
-TEST(ThreadPoolStress, ShutdownWithTasksInFlight) {
-  // Destroy pools while submitted tasks are still queued: the destructor
-  // must drain every task, and tasks that Submit follow-up work while the
-  // pool is stopping must not be lost or raced.
-  for (int round = 0; round < 20; ++round) {
+TEST(ThreadPoolStress, DestroyedRightAfterParallelForReturns) {
+  // A loop of cheap indices is often drained by its caller before any
+  // worker wakes, so its helper lanes are still queued when ParallelFor
+  // returns; destroying the pool at once must drop them without running a
+  // dead loop's body or racing the workers' exit.
+  for (int round = 0; round < 50; ++round) {
     std::atomic<int> ran{0};
     {
       ThreadPool pool(kStressThreads);
-      for (int i = 0; i < 64; ++i) {
-        pool.Submit([&pool, &ran] {
-          ran.fetch_add(1, std::memory_order_relaxed);
-          pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      std::vector<std::thread> callers;
+      for (int c = 0; c < 4; ++c) {
+        callers.emplace_back([&pool, &ran] {
+          for (int loop = 0; loop < 20; ++loop) {
+            pool.ParallelFor(kStressThreads, [&ran](std::size_t) {
+              ran.fetch_add(1, std::memory_order_relaxed);
+            });
+          }
         });
       }
-      // No join here: ~ThreadPool races the drain against the submissions.
+      for (std::thread& t : callers) t.join();
     }
-    EXPECT_EQ(ran.load(), 128) << "round " << round;
+    EXPECT_EQ(ran.load(), static_cast<int>(4 * 20 * kStressThreads)) << "round " << round;
   }
 }
 

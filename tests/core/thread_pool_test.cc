@@ -49,16 +49,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_total.load(), 32);
 }
 
-TEST(ThreadPool, SubmitExecutesDetachedTasks) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) pool.Submit([&] { done.fetch_add(1); });
-    // Destructor drains remaining tasks before joining.
-  }
-  EXPECT_EQ(done.load(), 50);
-}
-
 TEST(ThreadPool, GlobalPoolIsPersistent) {
   ThreadPool& a = ThreadPool::Global();
   ThreadPool& b = ThreadPool::Global();

@@ -86,23 +86,5 @@ TEST(Cdf, SampleLogXProducesRequestedPoints) {
   }
 }
 
-TEST(Running, MatchesBatchStatistics) {
-  Running running;
-  std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
-  for (double x : v) running.Add(x);
-  EXPECT_EQ(running.count(), v.size());
-  EXPECT_DOUBLE_EQ(running.mean(), Mean(v));
-  EXPECT_NEAR(running.stddev(), StdDev(v), 1e-9);
-  EXPECT_DOUBLE_EQ(running.min(), 2.0);
-  EXPECT_DOUBLE_EQ(running.max(), 9.0);
-}
-
-TEST(Running, EmptyIsZero) {
-  Running running;
-  EXPECT_EQ(running.count(), 0u);
-  EXPECT_DOUBLE_EQ(running.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(running.variance(), 0.0);
-}
-
 }  // namespace
 }  // namespace quicer::stats
