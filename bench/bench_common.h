@@ -30,8 +30,8 @@ struct CapturedSpec {
 /// exports — capturing every sweep's final spec (as handed to Run) and grid
 /// size. Bench bodies still print their human-readable headings, so stdout
 /// is parked on /dev/null for the duration. Shared by bench_suite
-/// (export-grid, --grid, queue-init, --points validation) and the grid
-/// round-trip test, so both see identical capture semantics.
+/// (export-grid, --grid, --points validation) and the grid round-trip test,
+/// so both see identical capture semantics.
 inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benches,
                                               int scale) {
   std::vector<CapturedSpec> specs;

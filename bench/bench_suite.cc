@@ -1,20 +1,19 @@
 // bench_suite — runs any subset of the registered figure benches through the
 // sweep engine on the shared persistent thread pool, optionally as one shard
 // of a multi-process run, and merges partial results back into the exports a
-// single process would have written. The queue-init / worker / collect
-// subcommands drive the same benches through the file-based distributed work
-// queue (src/dist/), so any pool of hosts sharing a directory executes the
-// suite together.
+// single process would have written. A run splits across processes by
+// points (--shard, --points) and by repetitions (--rep-range); `merge`
+// recombines the partial files and checks that every (point, repetition)
+// is counted exactly once.
 //
 // Grids are also first-class data (core/scenario.h): export-grid serializes
 // any registered bench's sweeps as a scenario file, `run --grid` executes a
 // (possibly hand-edited) scenario file through the identical enumerate →
-// execute → merge pipeline, and `queue-init --grid` plans a distributed run
-// from one — scenario authorship is a data task, not a C++ task.
+// execute → merge pipeline — scenario authorship is a data task, not a C++
+// task.
 //
-//
-// lint:allow-file(ND002): the driver times sweeps, budgets, and heartbeats
-// with the wall clock; no wall-clock value reaches an exported byte.
+// lint:allow-file(ND002): the driver times sweeps and budgets with the wall
+// clock; no wall-clock value reaches an exported byte.
 //
 //   bench_suite --list                 # names + descriptions
 //   bench_suite                        # run everything
@@ -35,14 +34,6 @@
 //
 //   bench_suite --telemetry=FILE      # runtime counters -> per-sweep report
 //   bench_suite --qlog-dir=DIR        # per-run qlog trace pairs
-//
-//   bench_suite queue-init --queue=Q [--filter=S]... [--grid=FILE] [--scale=N] [--unit-runs=N]
-//   bench_suite worker --queue=Q [--worker-id=W] [--lease-seconds=N] [--retries=N] [--telemetry]
-//   bench_suite queue-status --queue=Q [--json]
-//   bench_suite collect --queue=Q [--out-dir=DIR] [--telemetry=FILE]
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -52,7 +43,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -64,9 +54,6 @@
 #include "core/scenario.h"
 #include "core/sweep_partial.h"
 #include "core/thread_pool.h"
-#include "dist/collect.h"
-#include "dist/work_queue.h"
-#include "dist/worker.h"
 #include "obs/telemetry.h"
 #include "registry.h"
 
@@ -105,13 +92,6 @@ int Usage(const char* argv0) {
       "              [--budget-seconds=N] [--shard=I/N | --points=IDS] [--rep-range=A:B]\n"
       "              [--telemetry=FILE] [--qlog-dir=DIR]\n"
       "       %s schema\n"
-      "       %s queue-init --queue=DIR [--filter=SUBSTR]... [--grid=FILE] [--scale=N]\n"
-      "                 [--unit-runs=N]\n"
-      "       %s worker --queue=DIR [--threads=N] [--worker-id=ID] [--progress]\n"
-      "                 [--lease-seconds=N] [--poll-seconds=N] [--max-units=N]\n"
-      "                 [--retries=N] [--no-wait] [--telemetry]\n"
-      "       %s queue-status --queue=DIR [--json]\n"
-      "       %s collect --queue=DIR [--out-dir=DIR] [--telemetry=FILE]\n"
       "  --list        list registered benches and exit\n"
       "  --filter=S    run only benches whose name contains S\n"
       "  --threads=N   size of the shared thread pool (default: hardware)\n"
@@ -141,7 +121,9 @@ int Usage(const char* argv0) {
       "                <sweep>_p<point>_r<rep>_{client,server}.qlog\n"
       "  merge         parse partial-result JSONs, merge per sweep name and\n"
       "                write final CSV/JSON exports (byte-identical to a\n"
-      "                single-process run) into --out-dir (default \".\")\n"
+      "                single-process run) into --out-dir (default \".\");\n"
+      "                fails when a (point, repetition) is covered twice, or\n"
+      "                when an executed point misses repetitions\n"
       "  export-grid   serialize the named benches' sweeps (all benches when\n"
       "                none given) as a scenario file on stdout (no\n"
       "                experiments run); --check instead verifies the\n"
@@ -152,31 +134,8 @@ int Usage(const char* argv0) {
       "                export-grid output, and composable with --shard /\n"
       "                --rep-range / merge for edited grids\n"
       "  schema        print the scenario base-config field table (markdown,\n"
-      "                generated from the codec's descriptor table)\n"
-      "  queue-init    enumerate the selected benches' sweeps (no experiments\n"
-      "                run) and populate a work-queue directory: one manifest\n"
-      "                plus work units of at most --unit-runs runs each\n"
-      "                (default 256; huge points split into repetition\n"
-      "                windows). With --grid=FILE the plan comes from a\n"
-      "                scenario file (copied into the queue), not from the\n"
-      "                compiled-in grids. The directory may be local, on\n"
-      "                NFS, or rsync'd between hosts.\n"
-      "  worker        claim units from the queue (atomic rename leases),\n"
-      "                execute them through the registered benches, publish\n"
-      "                partial results; heartbeats let peers reclaim units of\n"
-      "                crashed workers after --lease-seconds (default 60);\n"
-      "                failed units re-queue up to --retries times\n"
-      "                (default 1) before parking in failed/\n"
-      "  queue-status  todo/active/done/failed unit counts, per-worker\n"
-      "                heartbeat ages and the failed-unit list; --json emits\n"
-      "                a machine-readable document with per-worker throughput\n"
-      "                and the measured wall time of every done unit\n"
-      "  collect       verify coverage (every point x repetition window\n"
-      "                exactly once, spec hashes in agreement) and merge\n"
-      "                every sweep's unit results into final exports under\n"
-      "                --out-dir (default \".\"); --telemetry=FILE folds the\n"
-      "                workers' telemetry blocks into one report\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+      "                generated from the codec's descriptor table)\n",
+      argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -418,40 +377,6 @@ int RunTimed(const std::vector<TimedUnit>& units, BenchContext& context,
 using quicer::bench::CapturedSpec;
 using quicer::bench::CaptureSpecs;
 
-/// Queue inventories of captured sweeps (grid size, repetitions, spec hash).
-std::vector<quicer::dist::SweepInventory> InventoriesOf(
-    const std::vector<CapturedSpec>& specs) {
-  std::vector<quicer::dist::SweepInventory> sweeps;
-  sweeps.reserve(specs.size());
-  for (const CapturedSpec& captured : specs) {
-    quicer::dist::SweepInventory inventory;
-    inventory.bench = captured.bench;
-    inventory.sweep = captured.spec.name;
-    inventory.point_count = captured.point_count;
-    inventory.repetitions =
-        captured.spec.repetitions > 0 ? static_cast<std::size_t>(captured.spec.repetitions)
-                                      : 1;
-    inventory.spec_hash = quicer::core::ScenarioHash(captured.spec);
-    sweeps.push_back(std::move(inventory));
-  }
-  return sweeps;
-}
-
-/// Union of benches matching any of the filters (all benches when none),
-/// deduplicated by name.
-std::vector<BenchInfo> MatchFilters(const std::vector<std::string>& filters) {
-  if (filters.empty()) return Registry::Instance().Match("");
-  std::vector<BenchInfo> selected;
-  for (const std::string& filter : filters) {
-    for (const BenchInfo& bench : Registry::Instance().Match(filter)) {
-      bool known = false;
-      for (const BenchInfo& have : selected) known = known || have.name == bench.name;
-      if (!known) selected.push_back(bench);
-    }
-  }
-  return selected;
-}
-
 /// Reads a whole file; "-" reads stdin (the `export-grid B | run --grid=-`
 /// pipeline).
 std::optional<std::string> SlurpFile(const std::string& path) {
@@ -467,8 +392,7 @@ std::optional<std::string> SlurpFile(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario-file plumbing shared by export-grid --check, run --grid,
-// queue-init --grid and the worker.
+// Scenario-file plumbing shared by export-grid --check and run --grid.
 // ---------------------------------------------------------------------------
 
 /// One scenario of a grid file, validated against the registry: the bench
@@ -476,29 +400,20 @@ std::optional<std::string> SlurpFile(const std::string& path) {
 /// the captured live spec.
 struct GridScenario {
   quicer::core::Scenario scenario;
-  const CapturedSpec* live = nullptr;       // owned by GridPlan::captured
-  quicer::core::SweepSpec applied;          // live spec + scenario data
-  std::size_t point_count = 0;              // of the applied spec
-};
-
-struct GridPlan {
-  std::vector<quicer::core::Scenario> scenarios;
-  // One capture pass per distinct bench (insertion order preserved for
-  // deterministic unit planning).
-  std::vector<std::pair<std::string, std::vector<CapturedSpec>>> captured;
-  std::vector<GridScenario> entries;
+  quicer::core::SweepSpec applied;  // live spec + scenario data
+  std::size_t point_count = 0;      // of the applied spec
 };
 
 /// Parses `text` and validates every scenario against the compiled-in
 /// benches. Returns nullopt and fills `error` on the first violation.
-std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
-  GridPlan plan;
-  std::optional<std::vector<quicer::core::Scenario>> scenarios =
+std::optional<std::vector<GridScenario>> LoadGrid(const std::string& text, std::string& error) {
+  const std::optional<std::vector<quicer::core::Scenario>> scenarios =
       quicer::core::ParseScenarioFile(text, &error);
   if (!scenarios) return std::nullopt;
-  plan.scenarios = std::move(*scenarios);
-
-  for (const quicer::core::Scenario& scenario : plan.scenarios) {
+  // One capture pass per distinct bench.
+  std::vector<std::pair<std::string, std::vector<CapturedSpec>>> captured_by_bench;
+  std::vector<GridScenario> entries;
+  for (const quicer::core::Scenario& scenario : *scenarios) {
     if (scenario.bench.empty()) {
       error = "scenario for sweep '" + scenario.sweep +
               "' misses its 'bench' (the registry name that owns the sweep)";
@@ -510,12 +425,12 @@ std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
       return std::nullopt;
     }
     std::vector<CapturedSpec>* specs = nullptr;
-    for (auto& [name, captured] : plan.captured) {
+    for (auto& [name, captured] : captured_by_bench) {
       if (name == scenario.bench) specs = &captured;
     }
     if (specs == nullptr) {
-      plan.captured.emplace_back(scenario.bench, CaptureSpecs({*bench}, /*scale=*/1));
-      specs = &plan.captured.back().second;
+      captured_by_bench.emplace_back(scenario.bench, CaptureSpecs({*bench}, /*scale=*/1));
+      specs = &captured_by_bench.back().second;
     }
     const CapturedSpec* live = nullptr;
     for (const CapturedSpec& captured : *specs) {
@@ -529,24 +444,23 @@ std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
     }
     GridScenario entry;
     entry.scenario = scenario;
-    entry.live = live;
     entry.applied = live->spec;
     if (!quicer::core::ApplyScenario(scenario, entry.applied, &error)) return std::nullopt;
     entry.point_count = quicer::core::EnumerateCount(entry.applied);
-    plan.entries.push_back(std::move(entry));
+    entries.push_back(std::move(entry));
   }
 
-  // collect merges per sweep name: two scenarios for the same sweep would
-  // race on the same export files.
-  for (std::size_t i = 0; i < plan.entries.size(); ++i) {
-    for (std::size_t j = i + 1; j < plan.entries.size(); ++j) {
-      if (plan.entries[i].scenario.sweep == plan.entries[j].scenario.sweep) {
-        error = "duplicate scenario for sweep '" + plan.entries[i].scenario.sweep + "'";
+  // Exports and merges go by sweep name: two scenarios for the same sweep
+  // would write the same export files.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t j = i + 1; j < entries.size(); ++j) {
+      if (entries[i].scenario.sweep == entries[j].scenario.sweep) {
+        error = "duplicate scenario for sweep '" + entries[i].scenario.sweep + "'";
         return std::nullopt;
       }
     }
   }
-  return plan;
+  return entries;
 }
 
 int RunExportGrid(int argc, char** argv) {
@@ -592,15 +506,15 @@ int RunExportGrid(int argc, char** argv) {
   if (check) {
     // export → parse → apply-to-live → re-export must reproduce the bytes.
     std::string error;
-    const std::optional<GridPlan> plan = LoadGrid(json, error);
-    if (!plan) {
+    const std::optional<std::vector<GridScenario>> grid = LoadGrid(json, error);
+    if (!grid) {
       std::fprintf(stderr, "export-grid --check: exported file does not parse back: %s\n",
                    error.c_str());
       return 1;
     }
     std::vector<std::pair<std::string, const quicer::core::SweepSpec*>> reexport;
-    reexport.reserve(plan->entries.size());
-    for (const GridScenario& entry : plan->entries) {
+    reexport.reserve(grid->size());
+    for (const GridScenario& entry : *grid) {
       reexport.emplace_back(entry.scenario.bench, &entry.applied);
     }
     const std::string second = quicer::core::ScenarioFileJson(reexport);
@@ -661,8 +575,8 @@ int RunGrid(int argc, char** argv) {
     return 2;
   }
   std::string error;
-  std::optional<GridPlan> plan = LoadGrid(*text, error);
-  if (!plan) {
+  const std::optional<std::vector<GridScenario>> grid = LoadGrid(*text, error);
+  if (!grid) {
     std::fprintf(stderr, "run: %s: %s\n", grid_path.c_str(), error.c_str());
     return 2;
   }
@@ -670,11 +584,11 @@ int RunGrid(int argc, char** argv) {
   // --points ids must exist in some scenario's grid.
   for (std::size_t id : context.shard.points) {
     bool known = false;
-    for (const GridScenario& entry : plan->entries) known = known || id < entry.point_count;
+    for (const GridScenario& entry : *grid) known = known || id < entry.point_count;
     if (!known) {
       std::fprintf(stderr, "--points: unknown point id %zu — no scenario grid has that"
                    " many points\n", id);
-      for (const GridScenario& entry : plan->entries) {
+      for (const GridScenario& entry : *grid) {
         std::fprintf(stderr, "  %-24s %zu points\n", entry.scenario.sweep.c_str(),
                      entry.point_count);
       }
@@ -683,7 +597,7 @@ int RunGrid(int argc, char** argv) {
   }
 
   std::vector<TimedUnit> units;
-  for (const GridScenario& entry : plan->entries) {
+  for (const GridScenario& entry : *grid) {
     units.push_back({entry.scenario.sweep, entry.scenario.bench, [&context, &entry] {
                        BenchContext scenario_context = context;
                        scenario_context.sweep_filter = entry.scenario.sweep;
@@ -701,372 +615,12 @@ int RunSchema() {
   return 0;
 }
 
-int RunQueueInit(int argc, char** argv) {
-  std::string queue_dir;
-  std::string grid_path;
-  std::vector<std::string> filters;
-  int scale = 1;
-  bool scale_given = false;
-  std::size_t unit_runs = 256;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queue=", 0) == 0) {
-      queue_dir = arg.substr(std::strlen("--queue="));
-    } else if (arg.rfind("--filter=", 0) == 0) {
-      filters.push_back(arg.substr(std::strlen("--filter=")));
-    } else if (arg.rfind("--grid=", 0) == 0) {
-      grid_path = arg.substr(std::strlen("--grid="));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      if (!ParseScale(arg, scale)) return 2;
-      scale_given = true;
-    } else if (arg.rfind("--unit-runs=", 0) == 0) {
-      if (!ParseNumberOption(arg, 1, 1e9, unit_runs)) return 2;
-    } else {
-      std::fprintf(stderr, "unknown queue-init option '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (queue_dir.empty()) {
-    std::fprintf(stderr, "queue-init: pass --queue=DIR\n");
-    return 2;
-  }
-
-  std::vector<quicer::dist::SweepInventory> sweeps;
-  std::string grid_text;
-  std::size_t bench_count = 0;
-  if (!grid_path.empty()) {
-    // Data-defined plan: the scenario file is the single source of truth
-    // for grids and repetitions; --filter/--scale would contradict it.
-    if (!filters.empty() || scale_given) {
-      std::fprintf(stderr, "queue-init: --grid excludes --filter and --scale (the scenario"
-                   " file defines the grids)\n");
-      return 2;
-    }
-    const std::optional<std::string> text = SlurpFile(grid_path);
-    if (!text) {
-      std::fprintf(stderr, "queue-init: cannot read '%s'\n", grid_path.c_str());
-      return 2;
-    }
-    grid_text = *text;
-    std::string error;
-    const std::optional<GridPlan> plan = LoadGrid(grid_text, error);
-    if (!plan) {
-      std::fprintf(stderr, "queue-init: %s: %s\n", grid_path.c_str(), error.c_str());
-      return 2;
-    }
-    std::vector<std::string> benches_seen;
-    for (const GridScenario& entry : plan->entries) {
-      quicer::dist::SweepInventory inventory;
-      inventory.bench = entry.scenario.bench;
-      inventory.sweep = entry.scenario.sweep;
-      inventory.point_count = entry.point_count;
-      inventory.repetitions =
-          entry.applied.repetitions > 0
-              ? static_cast<std::size_t>(entry.applied.repetitions)
-              : 1;
-      inventory.spec_hash = quicer::core::ScenarioHash(entry.applied);
-      sweeps.push_back(std::move(inventory));
-      bool seen = false;
-      for (const std::string& name : benches_seen) seen = seen || name == entry.scenario.bench;
-      if (!seen) benches_seen.push_back(entry.scenario.bench);
-    }
-    bench_count = benches_seen.size();
-  } else {
-    const std::vector<BenchInfo> selected = MatchFilters(filters);
-    if (selected.empty()) {
-      std::fprintf(stderr, "queue-init: no benches match the filters\n");
-      return 2;
-    }
-    sweeps = InventoriesOf(CaptureSpecs(selected, scale));
-    bench_count = selected.size();
-  }
-
-  const std::vector<quicer::dist::WorkUnit> units =
-      quicer::dist::PlanUnits(sweeps, unit_runs);
-
-  quicer::dist::WorkQueue::Manifest manifest;
-  manifest.scale = grid_path.empty() ? scale : 1;
-  manifest.filters = filters;
-  manifest.max_runs_per_unit = unit_runs;
-  manifest.unit_count = units.size();
-  manifest.sweeps = sweeps;
-  if (!grid_path.empty()) {
-    // The scenario file rides inside the queue, so every worker — on any
-    // host — runs exactly the grid this plan hashed. It must land before
-    // the manifest (whose presence marks the queue ready) — but never on
-    // top of an existing queue's grid: WorkQueue::Init would reject the
-    // directory only after the copy had already clobbered the evidence of
-    // what a live (or interrupted) queue was running.
-    const std::filesystem::path queue_root(queue_dir);
-    if (std::filesystem::exists(queue_root / "manifest.json") ||
-        std::filesystem::exists(queue_root / "grid.json")) {
-      std::fprintf(stderr,
-                   "queue-init: '%s' already holds a queue (or the wreck of one); remove "
-                   "the directory and re-initialise\n",
-                   queue_dir.c_str());
-      return 1;
-    }
-    manifest.grid_file = "grid.json";
-    std::error_code ec;
-    std::filesystem::create_directories(queue_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "queue-init: cannot create '%s': %s\n", queue_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
-    }
-    std::ofstream grid_copy(std::filesystem::path(queue_dir) / "grid.json", std::ios::trunc);
-    if (!grid_copy.is_open() || !(grid_copy << grid_text)) {
-      std::fprintf(stderr, "queue-init: cannot copy the grid into '%s'\n", queue_dir.c_str());
-      return 1;
-    }
-  }
-  std::string error;
-  if (!quicer::dist::WorkQueue::Init(queue_dir, manifest, units, &error)) {
-    std::fprintf(stderr, "queue-init: %s\n", error.c_str());
-    return 1;
-  }
-
-  std::size_t total_runs = 0;
-  std::size_t windowed = 0;
-  for (const quicer::dist::WorkUnit& unit : units) {
-    total_runs += unit.runs;
-    if (unit.windowed()) ++windowed;
-  }
-  std::printf("queue '%s': %zu benches, %zu sweeps, %zu units (%zu repetition-window"
-              " units), %zu scheduled runs at scale %d%s\n",
-              queue_dir.c_str(), bench_count, sweeps.size(), units.size(), windowed,
-              total_runs, manifest.scale,
-              grid_path.empty() ? "" : (" from grid '" + grid_path + "'").c_str());
-  std::printf("next: run `bench_suite worker --queue=%s` on any host sharing the"
-              " directory, then `bench_suite collect --queue=%s --out-dir=OUT`\n",
-              queue_dir.c_str(), queue_dir.c_str());
-  return 0;
-}
-
-int RunWorkerCommand(int argc, char** argv) {
-  std::string queue_dir;
-  quicer::dist::WorkerOptions options;
-  bool progress = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queue=", 0) == 0) {
-      queue_dir = arg.substr(std::strlen("--queue="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!ParseThreads(arg)) return 2;
-    } else if (arg.rfind("--worker-id=", 0) == 0) {
-      options.worker_id = arg.substr(std::strlen("--worker-id="));
-    } else if (arg.rfind("--lease-seconds=", 0) == 0) {
-      // A zero timeout would make every peer's lease instantly reclaimable;
-      // an infinite one would never reclaim a crashed worker's lease.
-      if (!ParseNumberOption(arg, 1e-3, 1e9, options.lease_timeout_seconds)) return 2;
-    } else if (arg.rfind("--poll-seconds=", 0) == 0) {
-      if (!ParseNumberOption(arg, 1e-3, 1e9, options.poll_seconds)) return 2;
-    } else if (arg.rfind("--max-units=", 0) == 0) {
-      if (!ParseNumberOption(arg, 0, 1e9, options.max_units)) return 2;
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!ParseNumberOption(arg, 0, 1e9, options.retry_budget)) return 2;
-    } else if (arg == "--no-wait") {
-      options.wait_for_stragglers = false;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--telemetry") {
-      // Published partials then carry per-sweep telemetry blocks, which
-      // collect --telemetry=FILE folds into the fleet-wide report.
-      quicer::obs::EnableProcess();
-    } else {
-      std::fprintf(stderr, "unknown worker option '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (queue_dir.empty()) {
-    std::fprintf(stderr, "worker: pass --queue=DIR\n");
-    return 2;
-  }
-  std::string error;
-  std::optional<quicer::dist::WorkQueue> queue =
-      quicer::dist::WorkQueue::Open(queue_dir, &error);
-  if (!queue) {
-    std::fprintf(stderr, "worker: %s\n", error.c_str());
-    return 1;
-  }
-  const std::string worker_id = quicer::dist::WorkQueue::SanitizeWorkerId(
-      options.worker_id.empty() ? quicer::dist::DefaultWorkerId() : options.worker_id);
-  options.worker_id = worker_id;
-
-  // A grid-planned queue carries its scenario file: every unit's spec is
-  // rewritten from it, so this worker executes the same data-defined grid
-  // the plan hashed — validated up front, before any unit is claimed.
-  std::shared_ptr<GridPlan> grid;
-  if (!queue->manifest().grid_file.empty()) {
-    const std::string grid_path =
-        (std::filesystem::path(queue_dir) / queue->manifest().grid_file).string();
-    const std::optional<std::string> text = SlurpFile(grid_path);
-    if (!text) {
-      std::fprintf(stderr, "worker: cannot read the queue's grid '%s'\n", grid_path.c_str());
-      return 1;
-    }
-    std::optional<GridPlan> plan = LoadGrid(*text, error);
-    if (!plan) {
-      std::fprintf(stderr, "worker: %s: %s\n", grid_path.c_str(), error.c_str());
-      return 1;
-    }
-    grid = std::make_shared<GridPlan>(std::move(*plan));
-  }
-
-  // Executes one unit through the registry: the unit's points / repetition
-  // window select the grid subset, sweep_filter deselects sibling sweeps of
-  // the same bench, and the partial files land in the claim's private stage
-  // directory (published atomically by the worker loop). The per-point
-  // observer refreshes the lease heartbeat at most once a second, so a long
-  // unit never looks stale while it makes progress.
-  quicer::dist::UnitRunner runner = [&](const quicer::dist::WorkUnit& unit,
-                                        const std::string& stage_dir) {
-    BenchContext context;
-    context.data_dir = stage_dir;
-    context.scale = queue->manifest().scale;
-    context.progress = progress;
-    context.shard.points = unit.points;
-    context.shard.rep_begin = unit.rep_begin;
-    context.shard.rep_end = unit.rep_end;
-    context.sweep_filter = unit.sweep;
-    if (grid) {
-      const GridScenario* entry = nullptr;
-      for (const GridScenario& candidate : grid->entries) {
-        if (candidate.scenario.bench == unit.bench && candidate.scenario.sweep == unit.sweep) {
-          entry = &candidate;
-        }
-      }
-      if (entry == nullptr) {
-        std::fprintf(stderr, "[%s] unit %s targets sweep '%s' of bench '%s', which the"
-                     " queue's grid does not define\n", worker_id.c_str(), unit.id.c_str(),
-                     unit.sweep.c_str(), unit.bench.c_str());
-        return 1;
-      }
-      context.scenario = std::make_shared<const quicer::core::Scenario>(entry->scenario);
-    }
-    auto last_beat = std::make_shared<std::chrono::steady_clock::time_point>(
-        std::chrono::steady_clock::now());
-    context.observer = [&queue, worker_id, last_beat](const quicer::core::SweepProgress&) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - *last_beat < std::chrono::seconds(1)) return;
-      *last_beat = now;
-      queue->Heartbeat(worker_id);
-    };
-    return quicer::bench::RunByName(unit.bench, context);
-  };
-
-  const quicer::dist::WorkerStats stats = RunWorker(*queue, options, runner, stderr);
-  return stats.units_failed == 0 ? 0 : 1;
-}
-
-int RunQueueStatus(int argc, char** argv) {
-  std::string queue_dir;
-  bool json = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queue=", 0) == 0) {
-      queue_dir = arg.substr(std::strlen("--queue="));
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      std::fprintf(stderr, "unknown queue-status option '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (queue_dir.empty()) {
-    std::fprintf(stderr, "queue-status: pass --queue=DIR\n");
-    return 2;
-  }
-  std::string error;
-  const std::optional<quicer::dist::WorkQueue> queue =
-      quicer::dist::WorkQueue::Open(queue_dir, &error);
-  if (!queue) {
-    std::fprintf(stderr, "queue-status: %s\n", error.c_str());
-    return 1;
-  }
-  if (json) {
-    std::fputs(quicer::dist::QueueStatusJson(*queue).c_str(), stdout);
-    return 0;
-  }
-  const quicer::dist::WorkQueue::Status status = queue->GetStatus();
-  std::printf("queue '%s': %zu units planned (%zu sweeps, scale %d%s)\n", queue_dir.c_str(),
-              queue->manifest().unit_count, queue->manifest().sweeps.size(),
-              queue->manifest().scale,
-              queue->manifest().grid_file.empty()
-                  ? ""
-                  : (", grid " + queue->manifest().grid_file).c_str());
-  std::printf("  todo %zu | active %zu | done %zu | failed %zu | results %zu\n",
-              status.todo, status.active, status.done, status.failed, status.results);
-
-  const std::vector<quicer::dist::WorkQueue::HeartbeatAge> workers = queue->HeartbeatAges();
-  if (workers.empty()) {
-    std::printf("  no worker heartbeats yet\n");
-  } else {
-    std::printf("  workers:\n");
-    for (const quicer::dist::WorkQueue::HeartbeatAge& worker : workers) {
-      std::printf("    %-24s last beat %7.1fs ago, %zu active unit%s\n",
-                  worker.worker.c_str(), worker.age_seconds, worker.active_units,
-                  worker.active_units == 1 ? "" : "s");
-    }
-  }
-  if (status.failed > 0) {
-    std::printf("  failed units:\n");
-    for (const quicer::dist::WorkUnit& unit : queue->Units()) {
-      const std::string state = queue->UnitState(unit.id);
-      if (state.rfind("failed", 0) == 0) {
-        std::printf("    %s [%s] bench %s sweep %s, attempt %zu\n", unit.id.c_str(),
-                    state.c_str(), unit.bench.c_str(), unit.sweep.c_str(), unit.attempt);
-      }
-    }
-  }
-  return 0;
-}
-
-int RunCollect(int argc, char** argv) {
-  std::string queue_dir;
-  std::string out_dir = ".";
-  std::string telemetry_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--queue=", 0) == 0) {
-      queue_dir = arg.substr(std::strlen("--queue="));
-    } else if (arg.rfind("--out-dir=", 0) == 0) {
-      out_dir = arg.substr(std::strlen("--out-dir="));
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry="));
-    } else {
-      std::fprintf(stderr, "unknown collect option '%s'\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (queue_dir.empty()) {
-    std::fprintf(stderr, "collect: pass --queue=DIR\n");
-    return 2;
-  }
-  std::string error;
-  const std::optional<quicer::dist::WorkQueue> queue =
-      quicer::dist::WorkQueue::Open(queue_dir, &error);
-  if (!queue) {
-    std::fprintf(stderr, "collect: %s\n", error.c_str());
-    return 1;
-  }
-  quicer::dist::CollectReport report;
-  const bool ok = quicer::dist::Collect(*queue, out_dir, &report, stderr, telemetry_path);
-  std::printf("collect '%s': %zu/%zu units with results — %s\n", queue_dir.c_str(),
-              report.units_with_results, report.units_total,
-              ok ? ("exports written to '" + out_dir + "'").c_str() : "INCOMPLETE");
-  return ok ? 0 : 1;
-}
-
 /// --points ids are validated against the enumerated grids of the selected
 /// benches: an id no sweep can serve is an error, not a silent no-op.
 int ValidatePoints(const std::vector<BenchInfo>& selected, const BenchContext& context) {
-  const std::vector<quicer::dist::SweepInventory> sweeps =
-      InventoriesOf(CaptureSpecs(selected, context.scale));
+  const std::vector<CapturedSpec> sweeps = CaptureSpecs(selected, context.scale);
   std::size_t max_points = 0;
-  for (const quicer::dist::SweepInventory& sweep : sweeps) {
-    max_points = std::max(max_points, sweep.point_count);
-  }
+  for (const CapturedSpec& sweep : sweeps) max_points = std::max(max_points, sweep.point_count);
   std::string unknown;
   for (std::size_t id : context.shard.points) {
     if (id >= max_points) {
@@ -1079,8 +633,8 @@ int ValidatePoints(const std::vector<BenchInfo>& selected, const BenchContext& c
                "--points: unknown point id(s) %s — no selected sweep has that many "
                "points. Enumerated grids:\n",
                unknown.c_str());
-  for (const quicer::dist::SweepInventory& sweep : sweeps) {
-    std::fprintf(stderr, "  %-24s %zu points (ids 0..%zu)\n", sweep.sweep.c_str(),
+  for (const CapturedSpec& sweep : sweeps) {
+    std::fprintf(stderr, "  %-24s %zu points (ids 0..%zu)\n", sweep.spec.name.c_str(),
                  sweep.point_count, sweep.point_count > 0 ? sweep.point_count - 1 : 0);
   }
   return 2;
@@ -1093,10 +647,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "export-grid") == 0) return RunExportGrid(argc, argv);
   if (argc > 1 && std::strcmp(argv[1], "run") == 0) return RunGrid(argc, argv);
   if (argc > 1 && std::strcmp(argv[1], "schema") == 0) return RunSchema();
-  if (argc > 1 && std::strcmp(argv[1], "queue-init") == 0) return RunQueueInit(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "worker") == 0) return RunWorkerCommand(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "queue-status") == 0) return RunQueueStatus(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "collect") == 0) return RunCollect(argc, argv);
 
   bool list = false;
   std::string filter;

@@ -18,16 +18,6 @@ void PrintProgress(const core::SweepProgress& p) {
                p.points_skipped > 0 ? " (budget: some points skipped)" : "");
 }
 
-/// The context observer, then the --progress printer.
-core::SweepObserver ObserverOf(const BenchContext& ctx) {
-  if (!ctx.progress) return ctx.observer;
-  if (!ctx.observer) return PrintProgress;
-  return [extra = ctx.observer](const core::SweepProgress& p) {
-    extra(p);
-    PrintProgress(p);
-  };
-}
-
 }  // namespace
 
 std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& ctx) {
@@ -51,7 +41,7 @@ std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& c
   }
   if (!ctx.sweep_filter.empty() && ctx.sweep_filter != spec.name) return std::nullopt;
 
-  spec.observer = ObserverOf(ctx);
+  if (ctx.progress) spec.observer = PrintProgress;
   spec.shard = ctx.shard;
   if (ctx.budget_seconds > 0.0) {
     spec.deadline = ctx.suite_start +

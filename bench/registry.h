@@ -59,16 +59,13 @@ struct BenchContext {
   /// --rep-range=a:b).
   core::SweepShard shard;
   /// When non-empty, only the sweep with this name executes; Run skips its
-  /// sibling sweeps in the same bench. The work-queue worker and `run
-  /// --grid` target one (bench, sweep) pair at a time.
+  /// sibling sweeps in the same bench. `run --grid` targets one (bench,
+  /// sweep) pair at a time.
   std::string sweep_filter;
   /// When set, Run executes nothing: it hands every sweep's final spec and
-  /// grid size here instead (the capture pass behind export-grid,
-  /// queue-init and --points validation).
+  /// grid size here instead (the capture pass behind export-grid, run
+  /// --grid and --points validation).
   std::function<void(const core::SweepSpec&, std::size_t point_count)> enumerate;
-  /// Extra per-point observer, chained before the --progress printer. The
-  /// work-queue worker refreshes its lease heartbeat here.
-  core::SweepObserver observer;
   /// A grid scenario (--grid): Run overwrites the compiled-in data of the
   /// sweep it names with the scenario's, and exports that sweep without the
   /// bench's printed analysis.
@@ -91,7 +88,8 @@ struct BenchContext {
 ///  2. an enumerate pass hands the spec and its grid size to
 ///     `ctx.enumerate` and stops;
 ///  3. a sibling of `ctx.sweep_filter` stops without running;
-///  4. the observer, shard, budget deadline and qlog dir are attached;
+///  4. the --progress printer, shard, budget deadline and qlog dir are
+///     attached;
 ///  5. core::RunSweep executes the selected subset;
 ///  6. the exports are written into `ctx.data_dir` (the final pair, or a
 ///     partial file) with the partial-run and grid-run notes.

@@ -20,14 +20,13 @@
 // touching a compiler.
 //
 // ScenarioHash fingerprints the canonical serialization. RunSweep stamps it
-// into every result, partial files and work units carry it, and the merge /
-// collect phases refuse to combine partials whose hashes differ — two
-// shards of "the same" sweep run from different grid files can never
-// silently mix. The hash covers exactly the serializable data: label-
-// resolved closures (loss builders, variant mutations, extractors, runners)
-// hash by label, so binaries whose *code* diverged under unchanged labels
-// are not distinguished — a distributed pool should run one binary
-// revision per queue.
+// into every result, partial files carry it, and the merge phase refuses to
+// combine partials whose hashes differ — two shards of "the same" sweep run
+// from different grid files can never silently mix. The hash covers exactly
+// the serializable data: label-resolved closures (loss builders, variant
+// mutations, extractors, runners) hash by label, so binaries whose *code*
+// diverged under unchanged labels are not distinguished — the shards of one
+// run should come from one binary revision.
 #pragma once
 
 #include <cstdint>
@@ -127,7 +126,7 @@ std::optional<std::vector<Scenario>> ParseScenarioFile(std::string_view text,
 bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error = nullptr);
 
 /// 64-bit FNV-1a over the canonical serialization (bench name excluded) —
-/// the spec content-hash carried by results, partial files and work units.
+/// the spec content-hash carried by results and partial files.
 std::uint64_t ScenarioHash(const SweepSpec& spec);
 
 /// Lower-case hex of a hash, zero-padded to 16 digits ("0" stays "0" — the

@@ -682,6 +682,9 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
   for (const SweepResult& partial : partials) {
     if (merged.spec_hash == 0) merged.spec_hash = partial.spec_hash;
   }
+  const std::size_t reps =
+      merged.repetitions > 0 ? static_cast<std::size_t>(merged.repetitions) : 0;
+  std::size_t covered_runs = 0;
   std::vector<std::size_t> missing;
   for (std::size_t i = 0; i < merged.points.size(); ++i) {
     PointSummary& dst = merged.points[i];
@@ -698,10 +701,25 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
       }
     }
     bool budget_skipped_somewhere = false;
+    // Windows arrive in ascending begin order, so a repetition folded twice
+    // shows as a window starting below the end of the previous one.
+    std::pair<std::size_t, std::size_t> previous{0, 0};
     for (const SweepResult* partial : ordered) {
       const PointSummary& src = partial->points[i];
       budget_skipped_somewhere |= src.budget_skipped;
       if (!src.executed) continue;
+      const std::pair<std::size_t, std::size_t> window = partial->shard.RepWindow(reps);
+      if (window.first < previous.second) {
+        return fail("sweep '" + merged.name + "': point " + std::to_string(i) +
+                    " repetitions [" + std::to_string(window.first) + ", " +
+                    std::to_string(std::min(window.second, previous.second)) +
+                    ") are covered twice (windows [" + std::to_string(previous.first) + ", " +
+                    std::to_string(previous.second) + ") and [" +
+                    std::to_string(window.first) + ", " + std::to_string(window.second) +
+                    "))");
+      }
+      previous = window;
+      covered_runs += window.second - window.first;
       dst.executed = true;
       for (std::size_t m = 0; m < dst.metrics.size(); ++m) {
         MetricSeries& series = dst.metrics[m];
@@ -733,14 +751,8 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
                 " executed in no partial (and not budget-skipped)");
   }
 
-  const std::size_t reps =
-      merged.repetitions > 0 ? static_cast<std::size_t>(merged.repetitions) : 0;
-  std::size_t executed_points = 0;
-  for (const PointSummary& summary : merged.points) {
-    if (summary.executed) ++executed_points;
-  }
   merged.total_runs = merged.points.size() * reps;
-  merged.executed_runs = executed_points * reps;
+  merged.executed_runs = covered_runs;
 
   // Fold telemetry across partials: wall times sum (total compute spent);
   // counters fold by their registered merge mode, names unknown to this

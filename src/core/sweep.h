@@ -127,8 +127,7 @@ struct SweepExtraAxis {
 /// evenly — unless `points` lists explicit ids (re-running budget-skipped
 /// points from an earlier partial). Orthogonally, `rep_begin`/`rep_end`
 /// restrict execution to a window of repetition indices, so one huge
-/// point's repetitions can be split across shards (the work-queue driver's
-/// repetition-range sharding).
+/// point's repetitions can be split across processes (--rep-range).
 struct SweepShard {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -426,7 +425,7 @@ struct PointSummary {
 /// Runtime-telemetry snapshot attributed to one sweep execution (see
 /// src/obs/telemetry.h). Populated by RunSweep only when process telemetry
 /// is enabled; carried through partial files and folded by
-/// MergeSweepResults so sharded and queued runs merge their telemetry too.
+/// MergeSweepResults so sharded runs merge their telemetry too.
 struct SweepTelemetry {
   bool enabled = false;
   /// Wall-clock execute-phase time. Merging *sums* shards' wall times (total
@@ -442,8 +441,9 @@ struct SweepResult {
   std::vector<PointSummary> points;
   /// Scheduled runs (selected points × repetitions).
   std::size_t total_runs = 0;
-  /// Repetitions actually executed (differs from total_runs only when a
-  /// wall-clock budget skipped points).
+  /// Repetitions actually executed: the executed points' repetition
+  /// windows (differs from total_runs when a wall-clock budget skipped
+  /// points or a window covers less than every repetition).
   std::size_t executed_runs = 0;
 
   /// Execution metadata, carried into partial-result files so the merge
@@ -455,10 +455,10 @@ struct SweepResult {
   std::uint64_t seed_stride = 0;
 
   /// Content-hash of the spec's serializable data (core::ScenarioHash),
-  /// stamped by RunSweep, carried through partial files and work units, and
-  /// required to agree by the merge/collect phases — partials of two
-  /// different grid definitions never mix silently. 0 = unknown (documents
-  /// written before the hash existed).
+  /// stamped by RunSweep, carried through partial files, and required to
+  /// agree by the merge phase — partials of two different grid definitions
+  /// never mix silently. 0 = unknown (documents written before the hash
+  /// existed).
   std::uint64_t spec_hash = 0;
 
   /// Runtime counters attributed to this sweep's execution (empty and
@@ -509,12 +509,16 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 /// stats::Accumulator::Merge and trace series concatenate in repetition
 /// order; aborted/skipped counters add. A point executed by exactly one
 /// partial (the --shard workflow) or split into repetition windows (the
-/// --rep-range / work-queue workflow) is reproduced bit-identically, so the
-/// merged CSV/JSON exports match a single-process run byte for byte.
-/// Points executed nowhere stay budget_skipped when some partial skipped
-/// them over budget; otherwise the merge fails. Returns nullopt and fills
-/// `error` when the partials disagree on the spec fingerprint (name, grid,
-/// repetitions, seeds) or leave points uncovered.
+/// --rep-range workflow) is reproduced bit-identically, so the merged
+/// CSV/JSON exports match a single-process run byte for byte. Every
+/// (point, repetition) folds at most once: a repetition two partials both
+/// executed fails the merge. Windows need not tile [0, repetitions) —
+/// executed_runs counts the repetitions covered, and a gap is the caller's
+/// to reject (MergeSweepPartialFiles does). Points executed nowhere stay
+/// budget_skipped when some partial skipped them over budget; otherwise the
+/// merge fails. Returns nullopt and fills `error` when the partials
+/// disagree on the spec fingerprint (name, grid, repetitions, seeds), fold
+/// a repetition twice or leave points uncovered.
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
                                              std::string* error = nullptr);
 

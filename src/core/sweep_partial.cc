@@ -104,6 +104,43 @@ class WholeReader {
   std::string error_;
 };
 
+/// The first repetitions an executed point of `merged` lacks, as an error
+/// naming the sweep, the point and the range; empty when every executed
+/// point covers [0, repetitions). `merged` came from MergeSweepResults over
+/// `partials`, so no two windows of one point overlap.
+std::string FirstCoverageGap(const std::vector<SweepResult>& partials,
+                             const SweepResult& merged) {
+  std::vector<const SweepResult*> ordered;
+  for (const SweepResult& partial : partials) ordered.push_back(&partial);
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const SweepResult* a, const SweepResult* b) {
+                     return a->shard.rep_begin < b->shard.rep_begin;
+                   });
+  const std::size_t reps =
+      merged.repetitions > 0 ? static_cast<std::size_t>(merged.repetitions) : 0;
+  for (std::size_t i = 0; i < merged.points.size(); ++i) {
+    if (!merged.points[i].executed) continue;
+    std::size_t next = 0;  // the first repetition no window covers yet
+    std::size_t gap_end = reps;
+    for (const SweepResult* partial : ordered) {
+      if (!partial->points[i].executed) continue;
+      const std::pair<std::size_t, std::size_t> window = partial->shard.RepWindow(reps);
+      if (window.first > next) {
+        gap_end = window.first;
+        break;
+      }
+      next = window.second;
+    }
+    if (next < gap_end) {
+      return "sweep '" + merged.name + "': point " + std::to_string(i) + " repetitions [" +
+             std::to_string(next) + ", " + std::to_string(gap_end) +
+             ") are covered by no partial (run them with --points and --rep-range, then"
+             " merge again)";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string SweepPartialJson(const SweepResult& result) {
@@ -432,7 +469,8 @@ bool MergeSweepPartialFiles(const std::vector<std::string>& files, const std::st
   for (const auto& [name, partials] : groups) {
     std::string error;
     const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
-    if (!merged) {
+    if (merged) error = FirstCoverageGap(partials, *merged);
+    if (!error.empty()) {
       if (log != nullptr) std::fprintf(log, "merge failed: %s\n", error.c_str());
       ok = false;
       continue;

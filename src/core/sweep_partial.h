@@ -54,7 +54,10 @@ std::string SweepPartialFileName(const SweepResult& result);
 /// by sweep name, merges each group and writes the final exports into
 /// `out_dir` (plus a fresh partial file when budget-skipped points remain).
 /// Diagnostics go to `log` (may be null). Returns false if any file fails
-/// to read or any group fails to merge or export. When `merged_out` is
+/// to read or any group fails to merge or export. Beyond MergeSweepResults'
+/// checks, every executed point must cover all its repetitions: a gap
+/// between repetition windows fails the group, so each (point, repetition)
+/// of an export is counted exactly once. When `merged_out` is
 /// non-null, every successfully merged result is appended to it (in
 /// first-seen sweep order) — the --telemetry report path uses this to fold
 /// the partials' telemetry into a per-sweep report.

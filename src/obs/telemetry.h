@@ -173,7 +173,7 @@ void ResetAll();
 /// Per-(bench, sweep) telemetry record, assembled by the sweep engine and
 /// drained by bench_suite into the --telemetry report.
 struct SweepRecord {
-  std::string bench;   // current bench label (may be empty for merge/collect)
+  std::string bench;   // current bench label (empty for merge)
   std::string sweep;   // SweepSpec::name
   double wall_seconds = 0.0;
   std::uint64_t executed_runs = 0;

@@ -1,7 +1,7 @@
 // Edge cases of the minimal JSON parser behind the sweep partial-result
 // files: escapes, nesting limits, truncated input, duplicate keys — and a
 // partial-file round trip that includes budget-skipped points, the shape a
-// clipped distributed run hands to the merge phase.
+// budget-clipped sharded run hands to the merge phase.
 #include <gtest/gtest.h>
 
 #include <chrono>

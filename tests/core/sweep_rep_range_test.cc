@@ -1,12 +1,19 @@
 // Repetition-range sharding: a window [a, b) of a point's repetitions runs
 // with the absolute-repetition seed schedule, so the windows of a split
-// point merge back bit-identically to an unsplit run — the property the
-// distributed work queue's unit splitting relies on.
+// point merge back bit-identically to an unsplit run — the property
+// `bench_suite --rep-range` + `merge` relies on. The merge counts every
+// (point, repetition) exactly once: overlapping windows fail, and a gap
+// fails the file merge that writes final exports.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/csv.h"
 #include "core/sweep.h"
 #include "core/sweep_partial.h"
 
@@ -31,6 +38,26 @@ SweepSpec WindowSpec() {
     return std::vector<double>{sum, trace};
   };
   return spec;
+}
+
+/// Runs `spec` over repetitions [begin, end) and round-trips the result
+/// through its partial document, as a separate process would hand it over.
+SweepResult WindowPartial(SweepSpec spec, std::size_t begin, std::size_t end) {
+  spec.shard.rep_begin = begin;
+  spec.shard.rep_end = end;
+  std::string error;
+  std::optional<SweepResult> parsed =
+      ParseSweepPartialJson(SweepPartialJson(RunSweep(spec)), &error);
+  EXPECT_TRUE(parsed.has_value()) << error;
+  return parsed ? std::move(*parsed) : SweepResult{};
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 TEST(RepWindow, ResolvesAndClamps) {
@@ -145,8 +172,8 @@ TEST(RepWindow, MergeIsIndependentOfPartialOrder) {
   EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(full));
 }
 
-// Windows compose with point selection: a (points, window) unit — the
-// distributed queue's shape for split points — executes exactly that slice.
+// Windows compose with point selection: --points with --rep-range executes
+// exactly that slice.
 TEST(RepWindow, ComposesWithPointSelection) {
   SweepSpec spec = WindowSpec();
   spec.shard.points = {1};
@@ -163,6 +190,87 @@ TEST(RepWindow, ComposesWithPointSelection) {
   }
   EXPECT_EQ(executed, 1u);
   EXPECT_EQ(result.executed_runs, 4u);
+}
+
+TEST(RepWindow, OverlappingWindowsAreRejected) {
+  const std::vector<SweepResult> partials = {WindowPartial(WindowSpec(), 0, 5),
+                                             WindowPartial(WindowSpec(), 3, 0)};
+  std::string error;
+  EXPECT_FALSE(MergeSweepResults(partials, &error).has_value());
+  EXPECT_NE(error.find("sweep 'rep_window_test': point 0 repetitions [3, 5) are covered twice"),
+            std::string::npos)
+      << error;
+}
+
+TEST(RepWindow, DuplicatedWholePointPartialIsRejected) {
+  SweepSpec spec = WindowSpec();
+  spec.shard = {0, 2, {}};
+  const SweepResult shard0 = RunSweep(spec);
+  std::string error;
+  EXPECT_FALSE(MergeSweepResults({shard0, shard0}, &error).has_value());
+  EXPECT_NE(error.find("point 0 repetitions [0, 9) are covered twice"), std::string::npos)
+      << error;
+}
+
+// A gap is no error for MergeSweepResults (a sub-range of the repetitions
+// merges; executed_runs counts what the windows cover), but the file merge
+// that writes final exports refuses it.
+TEST(RepWindow, GapMergesInMemoryButFailsTheFileMerge) {
+  const std::vector<SweepResult> partials = {WindowPartial(WindowSpec(), 0, 3),
+                                             WindowPartial(WindowSpec(), 5, 0)};
+  std::string error;
+  const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  EXPECT_EQ(merged->executed_runs, 3u * 7u);
+  EXPECT_EQ(merged->total_runs, 3u * 9u);
+
+  const std::string dir = testing::TempDir() + "/rep_window_gap";
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> files;
+  for (const SweepResult& partial : partials) {
+    ASSERT_TRUE(WriteSweepData(partial, dir));
+    files.push_back(dir + "/" + SweepPartialFileName(partial));
+  }
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  EXPECT_FALSE(MergeSweepPartialFiles(files, dir + "/out", log));
+  std::rewind(log);
+  std::string text(4096, '\0');
+  text.resize(std::fread(text.data(), 1, text.size(), log));
+  std::fclose(log);
+  EXPECT_NE(text.find("sweep 'rep_window_test': point 0 repetitions [3, 5) are covered by no"
+                      " partial"),
+            std::string::npos)
+      << text;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/out/rep_window_test_sweep.csv"));
+}
+
+// Two disjoint halves of a window that does not start at repetition 0 (the
+// shape perfbench's tranco_scan merges every round) merge to the CSV bytes
+// and executed_runs of one unsharded run of that window.
+TEST(RepWindow, HalvesOfASubRangeMergeLikeTheWholeSubRange) {
+  SweepSpec base = WindowSpec();
+  base.repetitions = 12;
+  std::string error;
+  const std::optional<SweepResult> merged =
+      MergeSweepResults({WindowPartial(base, 4, 6), WindowPartial(base, 6, 8)}, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  SweepSpec whole_spec = base;
+  whole_spec.shard.rep_begin = 4;
+  whole_spec.shard.rep_end = 8;
+  const SweepResult whole = RunSweep(whole_spec);
+  EXPECT_EQ(merged->executed_runs, whole.executed_runs);
+  EXPECT_EQ(merged->executed_runs, 3u * 4u);
+
+  const auto csv = [](const SweepResult& result, const std::string& name) {
+    {
+      CsvWriter writer(testing::TempDir(), name, SweepCsvHeader());
+      EXPECT_TRUE(writer.active());
+      WriteSweepCsv(result, writer);
+    }
+    return Slurp(testing::TempDir() + "/" + name + ".csv");
+  };
+  EXPECT_EQ(csv(*merged, "sub_range_merged"), csv(whole, "sub_range_whole"));
 }
 
 TEST(RepWindow, PartialFileNamesCarryTheWindow) {

@@ -1,8 +1,8 @@
-// Telemetry across the distributed pipeline: sweeps record per-(bench,
-// sweep) counters, partial-result files carry the telemetry block, the
-// merge folds it (sums vs high-water maxima), and collect writes one
-// fleet-wide report — while the data exports stay byte-identical to a run
-// without any of it.
+// Telemetry through the sweep pipeline: sweeps record per-(bench, sweep)
+// counters, partial-result files carry the telemetry block, and the merge
+// folds it (sums vs high-water maxima) into one report whose deterministic
+// counters equal an unsplit run's — while the data exports stay
+// byte-identical to a run without any of it.
 //
 // Lives in its own binary: EnableProcess is sticky, so these tests must
 // not share a process with tests asserting the disabled default.
@@ -14,21 +14,17 @@
 #include <string>
 #include <vector>
 
-#include "core/json.h"
 #include "core/sweep.h"
 #include "core/sweep_partial.h"
-#include "dist/collect.h"
-#include "dist/work_queue.h"
-#include "dist/worker.h"
 #include "obs/telemetry.h"
 
-namespace quicer::dist {
+namespace quicer::core {
 namespace {
 
 namespace fs = std::filesystem;
 
 std::string Scratch(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("dist_telemetry_" + name);
+  const fs::path dir = fs::path(testing::TempDir()) / ("sweep_telemetry_" + name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
@@ -44,17 +40,16 @@ std::string SlurpFile(const std::string& path) {
 
 /// A synthetic sweep whose runner bumps a counter once per repetition, so
 /// the telemetry fold is checkable exactly: the merged count must equal
-/// the executed run count, however the grid was split across units.
-core::SweepSpec CountingSpec() {
-  core::SweepSpec spec;
+/// the executed run count, however the grid was split.
+SweepSpec CountingSpec() {
+  SweepSpec spec;
   spec.name = "counting";
   spec.axes.extras = {{"k", {{"a", 0}, {"b", 1}, {"c", 2}, {"d", 3}}}};
   spec.repetitions = 6;
-  spec.metrics = {{"v", core::MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
-  spec.runner = [](const core::SweepRunContext& ctx) {
-    quicer::obs::Count(quicer::obs::kEventsRun);
-    quicer::obs::CountMax(quicer::obs::kArenaBytesHighWater,
-                          static_cast<std::uint64_t>(ctx.repetition + 1));
+  spec.metrics = {{"v", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  spec.runner = [](const SweepRunContext& ctx) {
+    obs::Count(obs::kEventsRun);
+    obs::CountMax(obs::kArenaBytesHighWater, static_cast<std::uint64_t>(ctx.repetition + 1));
     return std::vector<double>{static_cast<double>(ctx.point.Extra("k")->value) * 10.0 +
                                ctx.repetition};
   };
@@ -64,7 +59,7 @@ core::SweepSpec CountingSpec() {
 TEST(SweepTelemetry, RunSweepSnapshotsCountersPerSweep) {
   obs::EnableProcess();
   obs::SetCurrentBench("synthetic");
-  const core::SweepResult result = core::RunSweep(CountingSpec());
+  const SweepResult result = RunSweep(CountingSpec());
   obs::SetCurrentBench("");
 
   ASSERT_TRUE(result.telemetry.enabled);
@@ -93,20 +88,19 @@ TEST(SweepTelemetry, RunSweepSnapshotsCountersPerSweep) {
 TEST(SweepTelemetry, PartialDocumentsCarryAndMergeTheTelemetryBlock) {
   obs::EnableProcess();
   // Two repetition-window halves of the same grid.
-  std::vector<core::SweepResult> partials;
+  std::vector<SweepResult> partials;
   for (int half = 0; half < 2; ++half) {
-    core::SweepSpec spec = CountingSpec();
+    SweepSpec spec = CountingSpec();
     spec.shard.rep_begin = half == 0 ? 0 : 3;
     spec.shard.rep_end = half == 0 ? 3 : 0;
-    partials.push_back(core::RunSweep(spec));
+    partials.push_back(RunSweep(spec));
     ASSERT_TRUE(partials.back().telemetry.enabled);
   }
 
   // The telemetry block survives the partial-file round trip.
-  for (core::SweepResult& partial : partials) {
+  for (SweepResult& partial : partials) {
     std::string error;
-    std::optional<core::SweepResult> parsed =
-        core::ParseSweepPartialJson(core::SweepPartialJson(partial), &error);
+    std::optional<SweepResult> parsed = ParseSweepPartialJson(SweepPartialJson(partial), &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     ASSERT_TRUE(parsed->telemetry.enabled);
     EXPECT_EQ(parsed->telemetry.counters, partial.telemetry.counters);
@@ -114,8 +108,7 @@ TEST(SweepTelemetry, PartialDocumentsCarryAndMergeTheTelemetryBlock) {
   }
 
   std::string error;
-  const std::optional<core::SweepResult> merged =
-      core::MergeSweepResults(partials, &error);
+  const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
   ASSERT_TRUE(merged.has_value()) << error;
   ASSERT_TRUE(merged->telemetry.enabled);
   std::uint64_t runs = 0;
@@ -129,60 +122,49 @@ TEST(SweepTelemetry, PartialDocumentsCarryAndMergeTheTelemetryBlock) {
   EXPECT_GT(merged->telemetry.wall_seconds, 0.0);
 }
 
-TEST(SweepTelemetry, CollectFoldsWorkerTelemetryIntoOneReport) {
+// The `bench_suite merge --telemetry` path: partial files split by points
+// and by repetitions merge into one report whose deterministic counters
+// equal the unsplit run's, and whose data exports match a run without
+// telemetry byte for byte.
+TEST(SweepTelemetry, FileMergeFoldsPartialTelemetryIntoOneReport) {
   obs::EnableProcess();
-  const std::string root = Scratch("queue");
-  const std::vector<SweepInventory> sweeps = {{"synthetic", "counting", 4, 6}};
-  const std::vector<WorkUnit> units = PlanUnits(sweeps, 8);
-  ASSERT_GT(units.size(), 1u);  // the grid really is split across units
-  WorkQueue::Manifest manifest;
-  manifest.unit_count = units.size();
-  manifest.sweeps = sweeps;
-  std::string error;
-  ASSERT_TRUE(WorkQueue::Init(root, manifest, units, &error)) << error;
-  std::optional<WorkQueue> queue = WorkQueue::Open(root, &error);
-  ASSERT_TRUE(queue.has_value()) << error;
+  const SweepResult unsplit = RunSweep(CountingSpec());
+  const obs::SweepRecord unsplit_record = TelemetryRecordOf(unsplit, "");
 
-  UnitRunner runner = [](const WorkUnit& unit, const std::string& stage_dir) {
-    core::SweepSpec spec = CountingSpec();
-    spec.shard.points = unit.points;
-    spec.shard.rep_begin = unit.rep_begin;
-    spec.shard.rep_end = unit.rep_end;
-    return core::WriteSweepData(core::RunSweep(spec), stage_dir) ? 0 : 1;
-  };
-  WorkerOptions options;
-  options.worker_id = "w1";
-  options.wait_for_stragglers = false;
-  const WorkerStats stats = RunWorker(*queue, options, runner);
-  ASSERT_EQ(stats.units_failed, 0u);
+  const std::string parts = Scratch("parts");
+  std::vector<std::string> files;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 4}, {4, 0}}) {
+      SweepSpec spec = CountingSpec();
+      spec.shard = {shard, 2, {}, begin, end};
+      const SweepResult partial = RunSweep(spec);
+      ASSERT_TRUE(WriteSweepData(partial, parts));
+      files.push_back(parts + "/" + SweepPartialFileName(partial));
+    }
+  }
 
   const std::string out = Scratch("out");
-  const std::string report_path = (fs::path(out) / "telemetry.json").string();
-  CollectReport report;
-  ASSERT_TRUE(Collect(*queue, out, &report, nullptr, report_path)) << report.error;
+  std::vector<SweepResult> merged;
+  ASSERT_TRUE(MergeSweepPartialFiles(files, out, nullptr, &merged));
+  ASSERT_EQ(merged.size(), 1u);
+  ASSERT_TRUE(merged[0].telemetry.enabled);
+  const obs::SweepRecord record = TelemetryRecordOf(merged[0], "");
+  EXPECT_EQ(record.sweep, "counting");
+  EXPECT_EQ(record.executed_runs, unsplit_record.executed_runs);
+  for (const char* counter : {"sim.events_run", "quic.arena.bytes_highwater"}) {
+    EXPECT_EQ(obs::RecordCounter(record, counter), obs::RecordCounter(unsplit_record, counter))
+        << counter;
+  }
+  EXPECT_EQ(obs::RecordCounter(record, "sim.events_run"), 24u);
 
-  const std::optional<core::JsonValue> doc =
-      core::JsonValue::Parse(SlurpFile(report_path), &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_EQ(doc->GetString("format"), "quicer-telemetry-v1");
-  const core::JsonValue* entries = doc->Get("sweeps");
-  ASSERT_NE(entries, nullptr);
-  ASSERT_EQ(entries->Items().size(), 1u);
-  const core::JsonValue& entry = entries->Items()[0];
-  EXPECT_EQ(entry.GetString("bench"), "synthetic");
-  EXPECT_EQ(entry.GetString("sweep"), "counting");
-  const core::JsonValue* counters = entry.Get("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(counters->GetNumber("sim.events_run")), 24u);
-
-  // Telemetry never leaks into the data exports: the collected exports are
+  // Telemetry never leaks into the data exports: the merged exports are
   // byte-identical to a plain single-process run's.
   const std::string ref = Scratch("ref");
-  ASSERT_TRUE(core::WriteSweepData(core::RunSweep(CountingSpec()), ref));
+  ASSERT_TRUE(WriteSweepData(unsplit, ref));
   for (const char* file : {"counting_sweep.csv", "counting_sweep.json"}) {
     EXPECT_EQ(SlurpFile(out + "/" + file), SlurpFile(ref + "/" + file)) << file;
   }
 }
 
 }  // namespace
-}  // namespace quicer::dist
+}  // namespace quicer::core

@@ -2,8 +2,8 @@
 """quicer project lint: determinism, codec-coverage, and telemetry rules.
 
 The simulator's core contract is that every exported byte is a pure function
-of the scenario: identical across thread counts, shard layouts, and the
-distributed queue. This tool statically rejects the code patterns that have
+of the scenario: identical across thread counts, shard layouts and
+repetition windows. This tool statically rejects the code patterns that have
 historically broken that contract, plus two registry-coverage rules that keep
 the scenario codec and the telemetry counter table in sync with the structs
 they serialize.
@@ -14,7 +14,7 @@ Rules
          per-repetition forked sim::Rng only).
   ND002  Wall clocks (std::chrono::system_clock, std::chrono::steady_clock,
          std::time/time(nullptr)): banned in simulation and export code.
-         Timing *measurement* (phase timers, heartbeats) is legitimate and
+         Timing *measurement* (phase timers, budgets) is legitimate and
          carries a per-site or per-file suppression naming the reason.
   ND003  std::getenv: banned outside the bench_suite driver (environment
          must not leak into run behaviour; the driver owns the CLI surface).

@@ -2,7 +2,7 @@
 """Summarizes and diffs quicer telemetry reports.
 
 A telemetry report is the JSON document written by `bench_suite
---telemetry=FILE` (or `run --grid`/`collect` with the same flag): format
+--telemetry=FILE` (or `run --grid`/`merge` with the same flag): format
 "quicer-telemetry-v1", one entry per executed (bench, sweep) with its
 wall-clock execute time, executed run count and runtime counters (event
 loop, pools, netem queues, recovery, frontend cache — see
@@ -12,7 +12,7 @@ Usage:
     tools/telemetry_report.py summary <report.json> [more.json ...]
         Prints one table row per (bench, sweep): wall time, runs, runs/s,
         simulated events/s, and the throughput-relevant counters. Multiple
-        reports concatenate (a collect report plus a local run, say).
+        reports concatenate (a merge report plus a local run, say).
 
     tools/telemetry_report.py diff <baseline.json> <candidate.json> \
         [--threshold=0.25] [--strict]
