@@ -23,23 +23,22 @@ namespace quicer::bench {
 struct CapturedSpec {
   std::string bench;
   core::SweepSpec spec;
-  std::size_t point_count = 0;
 };
 
 /// Runs the given benches as an enumerate pass — no experiments, no
-/// exports — capturing every sweep's final spec (as handed to Run) and grid
-/// size. Bench bodies still print their human-readable headings, so stdout
-/// is parked on /dev/null for the duration. Shared by bench_suite
-/// (export-grid, --grid, --points validation) and the grid round-trip test,
-/// so both see identical capture semantics.
+/// exports — capturing every sweep's final spec (as handed to Run). Bench
+/// bodies still print their human-readable headings, so stdout is parked
+/// on /dev/null for the duration. Shared by bench_suite (export-grid,
+/// --grid) and the grid round-trip test, so both see identical capture
+/// semantics.
 inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benches,
                                               int scale) {
   std::vector<CapturedSpec> specs;
   BenchContext context;
   context.scale = scale;
   const std::string* current_bench = nullptr;
-  context.enumerate = [&](const core::SweepSpec& spec, std::size_t point_count) {
-    specs.push_back({*current_bench, spec, point_count});
+  context.enumerate = [&](const core::SweepSpec& spec) {
+    specs.push_back({*current_bench, spec});
   };
 
   std::fflush(stdout);

@@ -2,9 +2,9 @@
 // sweep engine on the shared persistent thread pool, optionally as one shard
 // of a multi-process run, and merges partial results back into the exports a
 // single process would have written. A run splits across processes by
-// points (--shard, --points) and by repetitions (--rep-range); `merge`
-// recombines the partial files and checks that every (point, repetition)
-// is counted exactly once.
+// points (--shard) and by repetitions (--rep-range); `merge` recombines the
+// partial files and checks that every (point, repetition) is counted
+// exactly once. Every run executes every point it selects.
 //
 // Grids are also first-class data (core/scenario.h): export-grid serializes
 // any registered bench's sweeps as a scenario file, `run --grid` executes a
@@ -12,8 +12,8 @@
 // execute → merge pipeline — scenario authorship is a data task, not a C++
 // task.
 //
-// lint:allow-file(ND002): the driver times sweeps and budgets with the wall
-// clock; no wall-clock value reaches an exported byte.
+// lint:allow-file(ND002): the driver times sweeps with the wall clock for
+// its wall-time table; no wall-clock value reaches an exported byte.
 //
 //   bench_suite --list                 # names + descriptions
 //   bench_suite                        # run everything
@@ -22,9 +22,7 @@
 //   bench_suite --data-dir=out/        # per-sweep CSV + JSON exports
 //   bench_suite --scale=4              # multiply repetitions, denser axes
 //   bench_suite --progress             # per-sweep progress lines on stderr
-//   bench_suite --budget-seconds=600   # suite-wide wall-clock ceiling
 //   bench_suite --shard=0/4            # execute shard 0 of 4 (partial JSON)
-//   bench_suite --points=3,17          # execute explicit point ids
 //   bench_suite --rep-range=0:10       # execute a repetition window
 //   bench_suite merge --out-dir=out/ PARTIAL.json...   # recombine shards
 //
@@ -83,13 +81,12 @@ bool PrepareQlogDir(const std::string& dir) {
 int Usage(const char* argv0) {
   std::printf(
       "usage: %s [--list] [--filter=SUBSTR] [--threads=N] [--data-dir=DIR]\n"
-      "          [--scale=N] [--progress] [--budget-seconds=N]\n"
-      "          [--shard=I/N | --points=ID,ID,...] [--rep-range=A:B]\n"
+      "          [--scale=N] [--progress] [--shard=I/N] [--rep-range=A:B]\n"
       "          [--telemetry=FILE] [--qlog-dir=DIR]\n"
       "       %s merge [--out-dir=DIR] [--telemetry=FILE] PARTIAL.json...\n"
       "       %s export-grid [BENCH...] [--scale=N] [--out=FILE] [--check]\n"
       "       %s run --grid=FILE [--data-dir=DIR] [--threads=N] [--progress]\n"
-      "              [--budget-seconds=N] [--shard=I/N | --points=IDS] [--rep-range=A:B]\n"
+      "              [--shard=I/N] [--rep-range=A:B]\n"
       "              [--telemetry=FILE] [--qlog-dir=DIR]\n"
       "       %s schema\n"
       "  --list        list registered benches and exit\n"
@@ -100,15 +97,9 @@ int Usage(const char* argv0) {
       "                RTT/delta axes (paper grids: --scale=4; default 1)\n"
       "  --progress    per-sweep progress lines on stderr (points done,\n"
       "                runs/sec) via the SweepObserver hook\n"
-      "  --budget-seconds=N  suite-wide wall-clock ceiling: once exceeded,\n"
-      "                remaining sweep points are budget-skipped and listed\n"
-      "                in partial-result JSON for a later --points rerun\n"
       "  --shard=I/N   execute only points with id %% N == I (I in 0..N-1);\n"
       "                every sweep then writes a partial-result JSON instead\n"
       "                of its final exports\n"
-      "  --points=IDS  execute only the listed point ids (comma-separated),\n"
-      "                e.g. the budget_skipped_points of an earlier partial;\n"
-      "                ids are validated against the enumerated grids\n"
       "  --rep-range=A:B  execute only repetitions [A, B) of the selected\n"
       "                points (B omitted or 0 = to the end); windows of one\n"
       "                point merge back bit-identically\n"
@@ -122,8 +113,8 @@ int Usage(const char* argv0) {
       "  merge         parse partial-result JSONs, merge per sweep name and\n"
       "                write final CSV/JSON exports (byte-identical to a\n"
       "                single-process run) into --out-dir (default \".\");\n"
-      "                fails when a (point, repetition) is covered twice, or\n"
-      "                when an executed point misses repetitions\n"
+      "                fails, writing nothing, when a (point, repetition) is\n"
+      "                covered twice or an executed point misses repetitions\n"
       "  export-grid   serialize the named benches' sweeps (all benches when\n"
       "                none given) as a scenario file on stdout (no\n"
       "                experiments run); --check instead verifies the\n"
@@ -158,13 +149,6 @@ int RunMerge(int argc, char** argv) {
   }
   if (files.empty()) {
     std::fprintf(stderr, "merge: no partial-result files given\n");
-    return 2;
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "cannot create out dir '%s': %s\n", out_dir.c_str(),
-                 ec.message().c_str());
     return 2;
   }
   std::vector<quicer::core::SweepResult> merged;
@@ -229,19 +213,6 @@ bool ParseShard(const std::string& value, quicer::core::SweepShard& shard) {
   return true;
 }
 
-bool ParsePoints(const std::string& value, std::vector<std::size_t>& points) {
-  const char* cursor = value.c_str();
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const long id = std::strtol(cursor, &end, 10);
-    if (end == cursor || id < 0) return false;
-    points.push_back(static_cast<std::size_t>(id));
-    cursor = *end == ',' ? end + 1 : end;
-    if (*end != '\0' && *end != ',') return false;
-  }
-  return !points.empty();
-}
-
 bool ParseRepRange(const std::string& value, quicer::core::SweepShard& shard) {
   const std::size_t colon = value.find(':');
   if (colon == std::string::npos) return false;
@@ -262,8 +233,8 @@ bool ParseRepRange(const std::string& value, quicer::core::SweepShard& shard) {
 enum class OptionStatus { kTaken, kNotMine, kInvalid };
 
 /// Parses one of the run options the suite and `run --grid` share
-/// (--telemetry, --qlog-dir, --threads, --data-dir, --progress,
-/// --budget-seconds, --shard, --points, --rep-range) into `context` and
+/// (--telemetry, --qlog-dir, --threads, --data-dir, --progress, --shard,
+/// --rep-range) into `context` and
 /// `telemetry_path`. On kInvalid the error is already printed.
 OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
                             std::string& telemetry_path) {
@@ -287,17 +258,10 @@ OptionStatus ParseRunOption(const std::string& arg, BenchContext& context,
     context.data_dir = dir;
   } else if (arg == "--progress") {
     context.progress = true;
-  } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-    if (!ParseNumberOption(arg, 0, 1e9, context.budget_seconds)) return OptionStatus::kInvalid;
   } else if (arg.rfind("--shard=", 0) == 0) {
     if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
       std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
                    arg.c_str());
-      return OptionStatus::kInvalid;
-    }
-  } else if (arg.rfind("--points=", 0) == 0) {
-    if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
-      std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
       return OptionStatus::kInvalid;
     }
   } else if (arg.rfind("--rep-range=", 0) == 0) {
@@ -326,7 +290,7 @@ BenchContext DriverContext() {
 bool ShardedRunLacksDataDir(const BenchContext& context) {
   if (context.shard.all() || !context.data_dir.empty()) return false;
   std::fprintf(stderr,
-               "--shard/--points/--rep-range produce partial-result files: pass "
+               "--shard/--rep-range produce partial-result files: pass "
                "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
   return true;
 }
@@ -339,14 +303,13 @@ struct TimedUnit {
   std::function<int()> run;
 };
 
-/// Starts `context.suite_start`, runs `units` in order, writes the
-/// --telemetry report, and prints the wall-time table: one row per unit
-/// under `column`, then "total (<what>, pool of N threads)". Returns 0 when
-/// every unit succeeded.
-int RunTimed(const std::vector<TimedUnit>& units, BenchContext& context,
-             const std::string& telemetry_path, const char* column, const std::string& what) {
+/// Runs `units` in order, writes the --telemetry report, and prints the
+/// wall-time table: one row per unit under `column`, then "total (<what>,
+/// pool of N threads)". Returns 0 when every unit succeeded.
+int RunTimed(const std::vector<TimedUnit>& units, const std::string& telemetry_path,
+             const char* column, const std::string& what) {
   std::vector<std::pair<double, int>> timings;  // seconds, exit code; parallel to units
-  context.suite_start = std::chrono::steady_clock::now();
+  const auto suite_start = std::chrono::steady_clock::now();
   if (!telemetry_path.empty()) quicer::obs::EnableProcess();
   int failures = 0;
   for (const TimedUnit& unit : units) {
@@ -369,7 +332,7 @@ int RunTimed(const std::vector<TimedUnit>& units, BenchContext& context,
                 timings[i].second == 0 ? "ok" : "FAILED");
   }
   std::printf("%-24s %10.2f  (%s, pool of %u threads)\n", "total",
-              SecondsSince(context.suite_start), what.c_str(),
+              SecondsSince(suite_start), what.c_str(),
               quicer::core::ThreadPool::Global().size());
   return failures == 0 ? 0 : 1;
 }
@@ -401,7 +364,6 @@ std::optional<std::string> SlurpFile(const std::string& path) {
 struct GridScenario {
   quicer::core::Scenario scenario;
   quicer::core::SweepSpec applied;  // live spec + scenario data
-  std::size_t point_count = 0;      // of the applied spec
 };
 
 /// Parses `text` and validates every scenario against the compiled-in
@@ -446,7 +408,6 @@ std::optional<std::vector<GridScenario>> LoadGrid(const std::string& text, std::
     entry.scenario = scenario;
     entry.applied = live->spec;
     if (!quicer::core::ApplyScenario(scenario, entry.applied, &error)) return std::nullopt;
-    entry.point_count = quicer::core::EnumerateCount(entry.applied);
     entries.push_back(std::move(entry));
   }
 
@@ -581,20 +542,6 @@ int RunGrid(int argc, char** argv) {
     return 2;
   }
   if (ShardedRunLacksDataDir(context)) return 2;
-  // --points ids must exist in some scenario's grid.
-  for (std::size_t id : context.shard.points) {
-    bool known = false;
-    for (const GridScenario& entry : *grid) known = known || id < entry.point_count;
-    if (!known) {
-      std::fprintf(stderr, "--points: unknown point id %zu — no scenario grid has that"
-                   " many points\n", id);
-      for (const GridScenario& entry : *grid) {
-        std::fprintf(stderr, "  %-24s %zu points\n", entry.scenario.sweep.c_str(),
-                     entry.point_count);
-      }
-      return 2;
-    }
-  }
 
   std::vector<TimedUnit> units;
   for (const GridScenario& entry : *grid) {
@@ -606,38 +553,13 @@ int RunGrid(int argc, char** argv) {
                        return quicer::bench::RunByName(entry.scenario.bench, scenario_context);
                      }});
   }
-  return RunTimed(units, context, telemetry_path, "sweep",
+  return RunTimed(units, telemetry_path, "sweep",
                   std::to_string(units.size()) + " scenarios from '" + grid_path + "'");
 }
 
 int RunSchema() {
   std::fputs(quicer::core::ScenarioSchemaMarkdown().c_str(), stdout);
   return 0;
-}
-
-/// --points ids are validated against the enumerated grids of the selected
-/// benches: an id no sweep can serve is an error, not a silent no-op.
-int ValidatePoints(const std::vector<BenchInfo>& selected, const BenchContext& context) {
-  const std::vector<CapturedSpec> sweeps = CaptureSpecs(selected, context.scale);
-  std::size_t max_points = 0;
-  for (const CapturedSpec& sweep : sweeps) max_points = std::max(max_points, sweep.point_count);
-  std::string unknown;
-  for (std::size_t id : context.shard.points) {
-    if (id >= max_points) {
-      if (!unknown.empty()) unknown += ',';
-      unknown += std::to_string(id);
-    }
-  }
-  if (unknown.empty()) return 0;
-  std::fprintf(stderr,
-               "--points: unknown point id(s) %s — no selected sweep has that many "
-               "points. Enumerated grids:\n",
-               unknown.c_str());
-  for (const CapturedSpec& sweep : sweeps) {
-    std::fprintf(stderr, "  %-24s %zu points (ids 0..%zu)\n", sweep.spec.name.c_str(),
-                 sweep.point_count, sweep.point_count > 0 ? sweep.point_count - 1 : 0);
-  }
-  return 2;
 }
 
 }  // namespace
@@ -679,15 +601,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no benches match filter '%s'\n", filter.c_str());
     return 2;
   }
-  if (!context.shard.points.empty()) {
-    const int invalid = ValidatePoints(selected, context);
-    if (invalid != 0) return invalid;
-  }
-
   std::vector<TimedUnit> units;
   for (const BenchInfo& bench : selected) {
     units.push_back({bench.name, bench.name, [&context, &bench] { return bench.run(context); }});
   }
-  return RunTimed(units, context, telemetry_path, "bench",
+  return RunTimed(units, telemetry_path, "bench",
                   std::to_string(units.size()) + " benches");
 }

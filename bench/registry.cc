@@ -1,4 +1,3 @@
-// lint:allow-file(ND002): suite budget accounting is wall-clock by design.
 #include "registry.h"
 
 #include <algorithm>
@@ -12,10 +11,9 @@ namespace {
 /// Prints "points done / total, runs/sec" to stderr (stdout carries the
 /// figure tables).
 void PrintProgress(const core::SweepProgress& p) {
-  std::fprintf(stderr, "[%.*s] %zu/%zu points, %zu runs, %.0f runs/s%s\n",
+  std::fprintf(stderr, "[%.*s] %zu/%zu points, %zu runs, %.0f runs/s\n",
                static_cast<int>(p.sweep.size()), p.sweep.data(), p.points_completed,
-               p.points_total, p.runs_completed, p.runs_per_second,
-               p.points_skipped > 0 ? " (budget: some points skipped)" : "");
+               p.points_total, p.runs_completed, p.runs_per_second);
 }
 
 }  // namespace
@@ -36,43 +34,32 @@ std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& c
     }
   }
   if (ctx.enumerate) {
-    ctx.enumerate(spec, core::EnumerateCount(spec));
+    ctx.enumerate(spec);
     return std::nullopt;
   }
   if (!ctx.sweep_filter.empty() && ctx.sweep_filter != spec.name) return std::nullopt;
 
   if (ctx.progress) spec.observer = PrintProgress;
   spec.shard = ctx.shard;
-  if (ctx.budget_seconds > 0.0) {
-    spec.deadline = ctx.suite_start +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(ctx.budget_seconds));
-  }
   spec.qlog_dir = ctx.qlog_dir;
   core::SweepResult result = core::RunSweep(spec);
 
   const bool wrote = !ctx.data_dir.empty() && core::WriteSweepData(result, ctx.data_dir);
-  if (!grid && !result.partial()) return result;
-  // Sharded, budget-clipped and grid-driven runs export machine-readable
-  // data but skip the bench's printed analysis: its tables would read
-  // incomplete series, or points a data-defined grid dropped.
+  if (!grid && !result.sharded()) return result;
+  // Sharded and grid-driven runs export machine-readable data but skip the
+  // bench's printed analysis: its tables would read incomplete series, or
+  // points a data-defined grid dropped.
   if (!wrote) {
     std::fprintf(stderr,
                  "[%s] WARNING: %s result NOT exported (set QUICER_DATA_DIR / "
                  "--data-dir)%s\n",
-                 result.name.c_str(), result.partial() ? "partial" : "grid-run",
-                 result.partial() ? "; the executed points are lost" : "");
+                 result.name.c_str(), result.sharded() ? "partial" : "grid-run",
+                 result.sharded() ? "; the executed points are lost" : "");
   }
-  if (!result.partial()) {
+  if (!result.sharded()) {
     std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
                 result.name.c_str(), result.points.size(), result.executed_runs);
     return std::nullopt;
-  }
-  for (std::size_t id : result.shard.points) {
-    if (id >= result.points.size()) {
-      std::fprintf(stderr, "[%s] WARNING: --points id %zu exceeds the %zu-point grid\n",
-                   result.name.c_str(), id, result.points.size());
-    }
   }
   std::size_t executed = 0;
   for (const core::PointSummary& summary : result.points) {

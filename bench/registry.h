@@ -3,12 +3,10 @@
 // the shared thread pool. bench_suite is the only entry point; a single
 // bench runs as `bench_suite --filter=NAME`.
 //
-// Suite-wide options (--scale, --progress, --shard, --budget-seconds) reach
-// the benches as an explicit BenchContext argument threaded through the
+// Suite-wide options (--scale, --progress, --shard, --rep-range) reach the
+// benches as an explicit BenchContext argument threaded through the
 // registry — not environment variables — so a bench body reads everything it
 // needs from its `ctx` parameter.
-//
-// lint:allow-file(ND002): the suite budget clock is wall time by design.
 //
 // A bench file contains one or more registrations:
 //
@@ -26,7 +24,6 @@
 // registrar runs.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -48,24 +45,16 @@ struct BenchContext {
   int scale = 1;
   /// Stream per-sweep progress lines to stderr (--progress).
   bool progress = false;
-  /// Suite-wide wall-clock ceiling in seconds, 0 = unlimited
-  /// (--budget-seconds). Every sweep gets the same deadline, suite_start +
-  /// budget_seconds, so the whole suite lands under one ceiling and a spent
-  /// budget skips every point of the later sweeps.
-  double budget_seconds = 0.0;
-  /// When the suite started, for the budget.
-  std::chrono::steady_clock::time_point suite_start = std::chrono::steady_clock::now();
-  /// Grid subset this process executes (--shard=i/N, --points=ids and/or
+  /// Grid subset this process executes (--shard=i/N and/or
   /// --rep-range=a:b).
   core::SweepShard shard;
   /// When non-empty, only the sweep with this name executes; Run skips its
   /// sibling sweeps in the same bench. `run --grid` targets one (bench,
   /// sweep) pair at a time.
   std::string sweep_filter;
-  /// When set, Run executes nothing: it hands every sweep's final spec and
-  /// grid size here instead (the capture pass behind export-grid, run
-  /// --grid and --points validation).
-  std::function<void(const core::SweepSpec&, std::size_t point_count)> enumerate;
+  /// When set, Run executes nothing: it hands every sweep's final spec here
+  /// instead (the capture pass behind export-grid and run --grid).
+  std::function<void(const core::SweepSpec&)> enumerate;
   /// A grid scenario (--grid): Run overwrites the compiled-in data of the
   /// sweep it names with the scenario's, and exports that sweep without the
   /// bench's printed analysis.
@@ -85,11 +74,9 @@ struct BenchContext {
 /// bench executes a sweep. Pass the spec with its final name. In order:
 ///  1. a `ctx.scenario` naming this sweep overwrites its grid data (a
 ///     scenario that no longer applies runs and exports nothing);
-///  2. an enumerate pass hands the spec and its grid size to
-///     `ctx.enumerate` and stops;
+///  2. an enumerate pass hands the spec to `ctx.enumerate` and stops;
 ///  3. a sibling of `ctx.sweep_filter` stops without running;
-///  4. the --progress printer, shard, budget deadline and qlog dir are
-///     attached;
+///  4. the --progress printer, shard and qlog dir are attached;
 ///  5. core::RunSweep executes the selected subset;
 ///  6. the exports are written into `ctx.data_dir` (the final pair, or a
 ///     partial file) with the partial-run and grid-run notes.

@@ -893,7 +893,6 @@ std::uint64_t ScenarioHash(const SweepSpec& spec) {
 }
 
 std::string ScenarioHashHex(std::uint64_t hash) {
-  if (hash == 0) return "0";
   char buffer[24];
   std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(hash));
   return buffer;

@@ -121,7 +121,7 @@ std::optional<std::vector<Scenario>> ParseScenarioFile(std::string_view text,
 /// the scenario's sweep (spec.name == scenario.sweep) — with the
 /// scenario's, resolving loss/variant labels and metric names against the
 /// spec's compiled-in axes first and the builtin registries second.
-/// Execution control (shard, observer, runner, budget, sinks) is left
+/// Execution control (shard, observer, runner, memo key, qlog dir) is left
 /// untouched. Returns false and fills `error` on an unresolvable label.
 bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error = nullptr);
 
@@ -129,8 +129,7 @@ bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error
 /// the spec content-hash carried by results and partial files.
 std::uint64_t ScenarioHash(const SweepSpec& spec);
 
-/// Lower-case hex of a hash, zero-padded to 16 digits ("0" stays "0" — the
-/// absent-hash sentinel never collides with a real digest).
+/// Lower-case hex of a hash, zero-padded to 16 digits.
 std::string ScenarioHashHex(std::uint64_t hash);
 
 /// Markdown table (field | type | default | description) of every base

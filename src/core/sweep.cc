@@ -95,11 +95,7 @@ std::string_view ToString(MetricMode mode) {
 }
 
 bool SweepShard::Contains(std::size_t point_id) const {
-  if (!points.empty()) {
-    return std::find(points.begin(), points.end(), point_id) != points.end();
-  }
-  if (count <= 1) return true;
-  return point_id % count == index;
+  return count <= 1 || point_id % count == index;
 }
 
 std::pair<std::size_t, std::size_t> SweepShard::RepWindow(std::size_t repetitions) const {
@@ -256,38 +252,6 @@ std::vector<SweepPoint> Enumerate(const SweepSpec& spec) {
   return points;
 }
 
-std::size_t EnumerateCount(const SweepSpec& spec) {
-  std::size_t extras = 1;
-  for (const SweepExtraAxis& axis : spec.axes.extras) {
-    if (!axis.values.empty()) extras *= axis.values.size();
-  }
-  const auto non_empty = [](std::size_t n) { return n == 0 ? 1 : n; };
-
-  // Count the (http, client) pairs that survive the support filter; every
-  // other axis multiplies through unfiltered.
-  const auto https = AxisOrDefault(spec.axes.http_versions);
-  const auto clients = AxisOrDefault(spec.axes.clients);
-  std::size_t pairs = 0;
-  for (const auto& http : https) {
-    const http::Version version = http ? *http : spec.base.http;
-    for (const auto& client : clients) {
-      const clients::ClientImpl impl = client ? *client : spec.base.client;
-      if (spec.skip_unsupported_http3 && version == http::Version::kHttp3 &&
-          !clients::SupportsHttp3(impl)) {
-        continue;
-      }
-      ++pairs;
-    }
-  }
-
-  return extras * pairs * non_empty(spec.axes.variants.size()) *
-         non_empty(spec.axes.links.size()) * non_empty(spec.axes.losses.size()) *
-         non_empty(spec.axes.certificate_sizes.size()) *
-         non_empty(spec.axes.cert_fetch_delays.size()) *
-         non_empty(spec.axes.rtts.size()) * non_empty(spec.axes.modes.size()) *
-         non_empty(spec.axes.behaviors.size());
-}
-
 const PointSummary* SweepResult::Find(
     const std::function<bool(const SweepPoint&)>& pred) const {
   for (const PointSummary& summary : points) {
@@ -300,22 +264,6 @@ const MetricSeries* SweepResult::FindMetric(
     const std::function<bool(const SweepPoint&)>& pred, std::string_view metric) const {
   const PointSummary* summary = Find(pred);
   return summary == nullptr ? nullptr : summary->Metric(metric);
-}
-
-bool SweepResult::partial() const {
-  if (sharded()) return true;
-  for (const PointSummary& summary : points) {
-    if (!summary.executed) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> SweepResult::BudgetSkippedPoints() const {
-  std::vector<std::size_t> skipped;
-  for (const PointSummary& summary : points) {
-    if (summary.budget_skipped) skipped.push_back(summary.point.index);
-  }
-  return skipped;
 }
 
 SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
@@ -422,16 +370,10 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   // that completes the point, then released — memory tracks the set of
   // in-flight points, not the whole grid (a 100k-repetition scan sweep would
   // otherwise zero-fill every point's slots up front).
-  //
-  // decision: 0 = undecided, 1 = run, 2 = budget-skipped. The first block
-  // of a point to arrive decides for the whole point, so a budget expiry
-  // never leaves a partially-run point behind (and skipped points never
-  // allocate slots).
   struct PointState {
     std::vector<double> slots;
     std::once_flag init;
     std::atomic<std::size_t> remaining{0};
-    std::atomic<int> decision{0};
     std::size_t memo = 0;  // index into `memos`
   };
   // The runner's memo: one per point, or one per memo key, released when
@@ -476,10 +418,6 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
     memos[state.memo].points.fetch_add(1, std::memory_order_relaxed);
   }
 
-  auto budget_exhausted = [&] {
-    return std::chrono::steady_clock::now() >= spec.deadline;  // lint:allow(ND002): wall budget
-  };
-
   std::mutex progress_mutex;
   SweepProgress progress;
   progress.sweep = result.name;
@@ -507,48 +445,33 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
         MemoSlot& memo = memos[state.memo];
         PointSummary& summary = result.points[selected[si]];
 
-        int decision = state.decision.load(std::memory_order_acquire);
-        if (decision == 0) {
-          int want = budget_exhausted() ? 2 : 1;
-          if (state.decision.compare_exchange_strong(decision, want,
-                                                     std::memory_order_acq_rel)) {
-            decision = want;
-          }
-        }
-
-        if (decision == 1) {
-          std::call_once(state.init, [&] { state.slots.assign(win * n_metrics, 0.0); });
-          for (std::size_t r = first; r < first + len; ++r) {
-            const std::size_t rep = win_begin + r;
-            SweepRunContext ctx{summary.point, static_cast<int>(rep),
-                                seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride,
-                                memo.memo};
-            const std::vector<double> values = runner(ctx);
-            for (std::size_t m = 0; m < n_metrics; ++m) {
-              state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
-            }
+        std::call_once(state.init, [&] { state.slots.assign(win * n_metrics, 0.0); });
+        for (std::size_t r = first; r < first + len; ++r) {
+          const std::size_t rep = win_begin + r;
+          SweepRunContext ctx{summary.point, static_cast<int>(rep),
+                              seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride,
+                              memo.memo};
+          const std::vector<double> values = runner(ctx);
+          for (std::size_t m = 0; m < n_metrics; ++m) {
+            state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
           }
         }
 
         if (state.remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
           // Last block of this point: fold in repetition order.
-          if (decision == 2) {
-            summary.budget_skipped = true;
-          } else {
-            summary.executed = true;
-            for (std::size_t r = 0; r < win; ++r) {
-              for (std::size_t m = 0; m < n_metrics; ++m) {
-                const double v = state.slots[r * n_metrics + m];
-                MetricSeries& series = summary.metrics[m];
-                if (std::isnan(v)) {
-                  ++series.skipped;
-                } else if (metrics[m].exclude_negative && v < 0.0) {
-                  ++series.aborted;
-                } else if (series.mode == MetricMode::kTrace) {
-                  series.trace.push_back(v);
-                } else {
-                  series.summary.Add(v);
-                }
+          summary.executed = true;
+          for (std::size_t r = 0; r < win; ++r) {
+            for (std::size_t m = 0; m < n_metrics; ++m) {
+              const double v = state.slots[r * n_metrics + m];
+              MetricSeries& series = summary.metrics[m];
+              if (std::isnan(v)) {
+                ++series.skipped;
+              } else if (metrics[m].exclude_negative && v < 0.0) {
+                ++series.aborted;
+              } else if (series.mode == MetricMode::kTrace) {
+                series.trace.push_back(v);
+              } else {
+                series.summary.Add(v);
               }
             }
           }
@@ -558,11 +481,7 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
 
           std::lock_guard<std::mutex> lock(progress_mutex);
           ++progress.points_completed;
-          if (decision == 2) {
-            ++progress.points_skipped;
-          } else {
-            progress.runs_completed += win;
-          }
+          progress.runs_completed += win;
           if (spec.observer) {
             progress.elapsed_seconds =
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - start)  // lint:allow(ND002): progress wall time
@@ -633,10 +552,8 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
                   "' (repetitions / reservoir / seed schedule differ)");
     }
     // The content-hash covers everything the fingerprint above cannot see —
-    // base config, axis values, metric set. Hash 0 means "unknown" (a
-    // pre-hash document) and is tolerated.
-    if (partial.spec_hash != 0 && first.spec_hash != 0 &&
-        partial.spec_hash != first.spec_hash) {
+    // base config, axis values, metric set.
+    if (partial.spec_hash != first.spec_hash) {
       return fail("spec content-hash mismatch in sweep '" + first.name + "': " +
                   ScenarioHashHex(partial.spec_hash) + " vs " +
                   ScenarioHashHex(first.spec_hash) +
@@ -679,9 +596,6 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
 
   SweepResult merged = first;
   merged.shard = SweepShard{};
-  for (const SweepResult& partial : partials) {
-    if (merged.spec_hash == 0) merged.spec_hash = partial.spec_hash;
-  }
   const std::size_t reps =
       merged.repetitions > 0 ? static_cast<std::size_t>(merged.repetitions) : 0;
   std::size_t covered_runs = 0;
@@ -689,7 +603,6 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
   for (std::size_t i = 0; i < merged.points.size(); ++i) {
     PointSummary& dst = merged.points[i];
     dst.executed = false;
-    dst.budget_skipped = false;
     // Fresh empty series; every executing partial folds in via Merge /
     // trace concatenation, in window order.
     for (MetricSeries& series : dst.metrics) {
@@ -700,13 +613,11 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
         series.summary = stats::Accumulator(merged.reservoir_capacity);
       }
     }
-    bool budget_skipped_somewhere = false;
     // Windows arrive in ascending begin order, so a repetition folded twice
     // shows as a window starting below the end of the previous one.
     std::pair<std::size_t, std::size_t> previous{0, 0};
     for (const SweepResult* partial : ordered) {
       const PointSummary& src = partial->points[i];
-      budget_skipped_somewhere |= src.budget_skipped;
       if (!src.executed) continue;
       const std::pair<std::size_t, std::size_t> window = partial->shard.RepWindow(reps);
       if (window.first < previous.second) {
@@ -733,13 +644,7 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
         }
       }
     }
-    if (!dst.executed) {
-      if (budget_skipped_somewhere) {
-        dst.budget_skipped = true;
-      } else {
-        missing.push_back(i);
-      }
-    }
+    if (!dst.executed) missing.push_back(i);
   }
   if (!missing.empty()) {
     std::string ids;
@@ -748,7 +653,7 @@ std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& par
       ids += std::to_string(id);
     }
     return fail("sweep '" + merged.name + "': points " + ids +
-                " executed in no partial (and not budget-skipped)");
+                " executed in no partial");
   }
 
   merged.total_runs = merged.points.size() * reps;
@@ -854,7 +759,6 @@ std::string SweepResultJson(const SweepResult& result) {
     number(", \"rtt_ms\": ", summary.point.rtt_ms);
     number(", \"delta_ms\": ", summary.point.delta_ms);
     out += ", \"cert_bytes\": " + std::to_string(summary.point.certificate_bytes);
-    if (summary.budget_skipped) out += ", \"budget_skipped\": true";
     out += ", \"metrics\": [";
     for (std::size_t m = 0; m < summary.metrics.size(); ++m) {
       const MetricSeries& series = summary.metrics[m];

@@ -40,8 +40,8 @@
 //    (SweepPoint::index), derived only from the spec's axes: independent of
 //    thread count, shard layout and execution order.
 //  * execute — RunSweep(spec) runs the subset selected by spec.shard (a
-//    round-robin i-of-N shard, an explicit point-id list, and/or a
-//    repetition window; the default selects everything). Because the seed
+//    round-robin i-of-N shard and/or a repetition window; the default
+//    selects everything) — every selected point, always. Because the seed
 //    schedule depends only on the repetition index, any subset reproduces
 //    exactly the values the full run would produce for those points (and
 //    repetition windows of one point concatenate back losslessly).
@@ -54,7 +54,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -124,15 +123,12 @@ struct SweepExtraAxis {
 /// covers every point (a classic single-process run). A shard of `count`
 /// processes executes the points whose stable id is congruent to `index`
 /// modulo `count` — round-robin, so dense and sparse grid regions spread
-/// evenly — unless `points` lists explicit ids (re-running budget-skipped
-/// points from an earlier partial). Orthogonally, `rep_begin`/`rep_end`
-/// restrict execution to a window of repetition indices, so one huge
-/// point's repetitions can be split across processes (--rep-range).
+/// evenly. Orthogonally, `rep_begin`/`rep_end` restrict execution to a
+/// window of repetition indices, so one huge point's repetitions can be
+/// split across processes (--rep-range).
 struct SweepShard {
   std::size_t index = 0;
   std::size_t count = 1;
-  /// Explicit point ids; overrides index/count when non-empty.
-  std::vector<std::size_t> points;
   /// Repetition window [rep_begin, rep_end) executed for every selected
   /// point; rep_end 0 means "to the last repetition". Seeds derive from the
   /// absolute repetition index, so the windows of a split point merge
@@ -142,7 +138,7 @@ struct SweepShard {
 
   /// True when this shard selects the whole grid at full repetitions.
   bool all() const {
-    return count <= 1 && points.empty() && rep_begin == 0 && rep_end == 0;
+    return count <= 1 && rep_begin == 0 && rep_end == 0;
   }
   /// True when the point with stable id `point_id` belongs to this shard.
   bool Contains(std::size_t point_id) const;
@@ -297,10 +293,9 @@ using SweepRunner = std::function<std::vector<double>(const SweepRunContext&)>;
 struct SweepProgress {
   std::string_view sweep;
   std::size_t points_total = 0;
-  std::size_t points_completed = 0;  // includes budget-skipped points
-  std::size_t points_skipped = 0;    // skipped by the wall-clock budget
+  std::size_t points_completed = 0;
   std::size_t runs_total = 0;
-  std::size_t runs_completed = 0;    // repetitions actually executed
+  std::size_t runs_completed = 0;
   double elapsed_seconds = 0.0;
   double runs_per_second = 0.0;
 };
@@ -347,14 +342,6 @@ struct SweepSpec {
 
   /// Progress hook; see SweepObserver.
   SweepObserver observer;
-
-  /// Wall-clock deadline (max() = unlimited). Once it has passed, points
-  /// whose first repetition has not yet started are skipped cleanly (marked
-  /// budget_skipped, no partial series); points already underway finish all
-  /// their repetitions, so every non-skipped point stays deterministic. A
-  /// deadline already past when RunSweep starts skips every point.
-  std::chrono::steady_clock::time_point deadline =  // lint:allow(ND002): wall budget
-      std::chrono::steady_clock::time_point::max();  // lint:allow(ND002): wall budget
 
   /// Subset of the grid this process executes (default: everything). Points
   /// outside the shard stay in the result with their metadata but empty
@@ -403,11 +390,8 @@ struct PointSummary {
   SweepPoint point;
   /// One series per SweepSpec metric, in spec order.
   std::vector<MetricSeries> metrics;
-  /// True when the wall-clock budget skipped this point before any
-  /// repetition ran (all series empty).
-  bool budget_skipped = false;
   /// True when this process ran the point's repetitions (false for points
-  /// outside the shard and for budget-skipped points).
+  /// outside the shard).
   bool executed = false;
 
   /// Series of the named metric, or nullptr.
@@ -442,8 +426,8 @@ struct SweepResult {
   /// Scheduled runs (selected points × repetitions).
   std::size_t total_runs = 0;
   /// Repetitions actually executed: the executed points' repetition
-  /// windows (differs from total_runs when a wall-clock budget skipped
-  /// points or a window covers less than every repetition).
+  /// windows (differs from total_runs when a parsed or merged result's
+  /// windows cover less than every repetition).
   std::size_t executed_runs = 0;
 
   /// Execution metadata, carried into partial-result files so the merge
@@ -457,8 +441,7 @@ struct SweepResult {
   /// Content-hash of the spec's serializable data (core::ScenarioHash),
   /// stamped by RunSweep, carried through partial files, and required to
   /// agree by the merge phase — partials of two different grid definitions
-  /// never mix silently. 0 = unknown (documents written before the hash
-  /// existed).
+  /// never mix silently.
   std::uint64_t spec_hash = 0;
 
   /// Runtime counters attributed to this sweep's execution (empty and
@@ -468,14 +451,9 @@ struct SweepResult {
   SweepTelemetry telemetry;
 
   /// True when this result covers a strict subset of the grid by
-  /// construction (spec.shard selected a subset).
+  /// construction (spec.shard selected a subset). An unsharded run executes
+  /// every point, so only a sharded result lacks data.
   bool sharded() const { return !shard.all(); }
-  /// True when some point lacks data — sharded, budget-skipped, or both —
-  /// i.e. the exports do not represent the full grid.
-  bool partial() const;
-  /// Stable ids of the points the wall-clock budget skipped; listed in
-  /// partial-result files so a later shard can re-run exactly those.
-  std::vector<std::size_t> BudgetSkippedPoints() const;
 
   /// First point matching `pred`, or nullptr. Enumeration order is
   /// outermost-to-innermost: extras (declaration order), http, variant,
@@ -490,12 +468,6 @@ struct SweepResult {
 /// Phase 1 — enumerates the flat grid of a spec (no experiments run). The
 /// position of a point in the returned vector is its stable id.
 std::vector<SweepPoint> Enumerate(const SweepSpec& spec);
-
-/// Closed-form `Enumerate(spec).size()` without materialising any point.
-/// Exact because the only per-point filter (skip_unsupported_http3) depends
-/// solely on the http and client axis values, which are fixed before the
-/// variant mutator runs.
-std::size_t EnumerateCount(const SweepSpec& spec);
 
 /// Phase 2 — runs the subset of the grid selected by spec.shard (default:
 /// everything) on the shared ThreadPool. `max_parallelism` caps concurrent
@@ -514,11 +486,10 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 /// (point, repetition) folds at most once: a repetition two partials both
 /// executed fails the merge. Windows need not tile [0, repetitions) —
 /// executed_runs counts the repetitions covered, and a gap is the caller's
-/// to reject (MergeSweepPartialFiles does). Points executed nowhere stay
-/// budget_skipped when some partial skipped them over budget; otherwise the
-/// merge fails. Returns nullopt and fills `error` when the partials
-/// disagree on the spec fingerprint (name, grid, repetitions, seeds), fold
-/// a repetition twice or leave points uncovered.
+/// to reject (MergeSweepPartialFiles does). Returns nullopt and fills
+/// `error` when the partials disagree on the spec fingerprint (name, grid,
+/// repetitions, seeds, content-hash), fold a repetition twice or leave a
+/// point executed nowhere.
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
                                              std::string* error = nullptr);
 
@@ -546,10 +517,7 @@ obs::SweepRecord TelemetryRecordOf(const SweepResult& result, std::string bench)
 ///  * full results — <name>_sweep.csv and <name>_sweep.json;
 ///  * sharded results — only <name>_sweep.<shard-tag>.json, the
 ///    partial-result file the merge subcommand ingests (a shard must not
-///    clobber the merged export names);
-///  * unsharded results with budget-skipped points — the usual pair plus
-///    <name>_sweep.partial.json, so the skipped points can be re-run
-///    (--points) and merged in.
+///    clobber the merged export names).
 /// Returns true if files were written.
 bool WriteSweepData(const SweepResult& result, const std::string& directory);
 

@@ -1,9 +1,12 @@
 #include "core/sweep_partial.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -76,6 +79,20 @@ class WholeReader {
     return value == nullptr ? fallback : static_cast<std::size_t>(Read(*value, where, key));
   }
 
+  /// Header member `key` of `doc`, a uint64 written as a string: exactly 16
+  /// hex digits when `hex`, else decimal digits that fit 64 bits.
+  std::uint64_t U64(const JsonValue& doc, std::string_view key, bool hex) {
+    const std::string& text = doc.GetString(key);
+    const bool digits = std::all_of(text.begin(), text.end(), [hex](unsigned char c) {
+      return hex ? std::isxdigit(c) != 0 : std::isdigit(c) != 0;
+    });
+    errno = 0;
+    const std::uint64_t value = std::strtoull(text.c_str(), nullptr, hex ? 16 : 10);
+    if (digits && (hex ? text.size() == 16 : !text.empty()) && errno != ERANGE) return value;
+    Fail("$." + std::string(key), hex ? " is not 16 hex digits" : " is not a decimal uint64");
+    return 0;
+  }
+
   std::vector<std::size_t> Sizes(const JsonValue& array, std::string_view path) {
     std::vector<std::size_t> out;
     out.reserve(array.Items().size());
@@ -97,8 +114,8 @@ class WholeReader {
     return v >= lo && v < hi && v == std::floor(v);
   }
 
-  void Fail(const std::string& path) {
-    if (error_.empty()) error_ = path + " is not a whole number in range";
+  void Fail(const std::string& path, std::string_view what = " is not a whole number in range") {
+    if (error_.empty()) error_ = path + std::string(what);
   }
 
   std::string error_;
@@ -134,7 +151,7 @@ std::string FirstCoverageGap(const std::vector<SweepResult>& partials,
     if (next < gap_end) {
       return "sweep '" + merged.name + "': point " + std::to_string(i) + " repetitions [" +
              std::to_string(next) + ", " + std::to_string(gap_end) +
-             ") are covered by no partial (run them with --points and --rep-range, then"
+             ") are covered by no partial (rerun that window with --shard/--rep-range, then"
              " merge again)";
     }
   }
@@ -147,16 +164,9 @@ std::string SweepPartialJson(const SweepResult& result) {
   std::string out = "{\n";
   out += "  \"format\": \"" + std::string(kFormat) + "\",\n";
   out += "  \"sweep\": \"" + JsonEscape(result.name) + "\",\n";
-  if (result.spec_hash != 0) {
-    out += "  \"spec_hash\": \"" + ScenarioHashHex(result.spec_hash) + "\",\n";
-  }
+  out += "  \"spec_hash\": \"" + ScenarioHashHex(result.spec_hash) + "\",\n";
   out += "  \"shard_index\": " + std::to_string(result.shard.index) + ",\n";
   out += "  \"shard_count\": " + std::to_string(result.shard.count) + ",\n";
-  if (!result.shard.points.empty()) {
-    out += "  \"shard_points\": ";
-    AppendJsonSizeArray(out, result.shard.points);
-    out += ",\n";
-  }
   if (result.shard.rep_begin != 0 || result.shard.rep_end != 0) {
     out += "  \"rep_begin\": " + std::to_string(result.shard.rep_begin) + ",\n";
     out += "  \"rep_end\": " + std::to_string(result.shard.rep_end) + ",\n";
@@ -180,15 +190,12 @@ std::string SweepPartialJson(const SweepResult& result) {
     out += "}},\n";
   }
   out += "  \"points_total\": " + std::to_string(result.points.size()) + ",\n";
-  out += "  \"budget_skipped_points\": ";
-  AppendJsonSizeArray(out, result.BudgetSkippedPoints());
-  out += ",\n  \"points\": [\n";
+  out += "  \"points\": [\n";
 
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const PointSummary& summary = result.points[i];
     out += "    {\"point\": " + std::to_string(summary.point.index);
     out += ", \"executed\": " + std::string(summary.executed ? "true" : "false");
-    if (summary.budget_skipped) out += ", \"budget_skipped\": true";
     out += ", \"client\": \"" + JsonEscape(summary.point.client) + "\"";
     out += ", \"http\": \"" + JsonEscape(summary.point.http) + "\"";
     out += ", \"behavior\": \"" + JsonEscape(summary.point.behavior) + "\"";
@@ -265,12 +272,9 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
   WholeReader whole;
   SweepResult result;
   result.name = doc->GetString("sweep");
-  result.spec_hash = std::strtoull(doc->GetString("spec_hash").c_str(), nullptr, 16);
+  result.spec_hash = whole.U64(*doc, "spec_hash", /*hex=*/true);
   result.shard.index = whole.Size(*doc, "shard_index", "$");
   result.shard.count = whole.Size(*doc, "shard_count", "$", 1);
-  if (const JsonValue* shard_points = doc->Get("shard_points")) {
-    result.shard.points = whole.Sizes(*shard_points, "$.shard_points");
-  }
   result.shard.rep_begin = whole.Size(*doc, "rep_begin", "$");
   result.shard.rep_end = whole.Size(*doc, "rep_end", "$");
   if (const JsonValue* repetitions = doc->Get("repetitions")) {
@@ -279,8 +283,8 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
                    std::numeric_limits<int>::max() + 1.0));
   }
   result.reservoir_capacity = whole.Size(*doc, "reservoir_capacity", "$");
-  result.seed_base = std::strtoull(doc->GetString("seed_base").c_str(), nullptr, 10);
-  result.seed_stride = std::strtoull(doc->GetString("seed_stride").c_str(), nullptr, 10);
+  result.seed_base = whole.U64(*doc, "seed_base", /*hex=*/false);
+  result.seed_stride = whole.U64(*doc, "seed_stride", /*hex=*/false);
   if (const JsonValue* telemetry = doc->Get("telemetry")) {
     result.telemetry.enabled = true;
     result.telemetry.wall_seconds = telemetry->GetNumber("wall_seconds");
@@ -307,7 +311,6 @@ std::optional<SweepResult> ParseSweepPartialJson(std::string_view json, std::str
     const std::string where = "$.points[" + std::to_string(result.points.size()) + "]";
     PointSummary summary;
     summary.executed = point.GetBool("executed");
-    summary.budget_skipped = point.GetBool("budget_skipped");
     summary.point.index = whole.Size(point, "point", where);
     if (summary.point.index != result.points.size()) {
       return fail("point ids out of order at position " + std::to_string(result.points.size()));
@@ -408,9 +411,7 @@ std::optional<SweepResult> ReadSweepPartialFile(const std::string& path, std::st
 
 std::string SweepPartialFileName(const SweepResult& result) {
   std::string stem = result.name + "_sweep";
-  if (!result.shard.points.empty()) {
-    stem += ".points";
-  } else if (result.shard.count > 1) {
+  if (result.shard.count > 1) {
     stem += ".shard" + std::to_string(result.shard.index) + "of" +
             std::to_string(result.shard.count);
   }
@@ -419,26 +420,23 @@ std::string SweepPartialFileName(const SweepResult& result) {
             (result.shard.rep_end == 0 ? std::string("end")
                                        : std::to_string(result.shard.rep_end));
   }
-  if (stem == result.name + "_sweep") stem += ".partial";
   return stem + ".json";
 }
 
 bool WriteSweepData(const SweepResult& result, const std::string& directory) {
   if (result.name.empty()) return false;
-  if (!result.sharded()) {
-    CsvWriter csv(directory, result.name + "_sweep", SweepCsvHeader());
-    if (!csv.active()) return false;
-    WriteSweepCsv(result, csv);
-    std::ofstream json(directory + "/" + result.name + "_sweep.json");
-    if (!json.is_open()) return false;
-    json << SweepResultJson(result);
-    if (!result.partial()) return true;
-    // Budget-skipped points remain: also leave a partial-result file so a
-    // later --points rerun can be merged in.
+  if (result.sharded()) {
+    std::ofstream partial(directory + "/" + SweepPartialFileName(result));
+    if (!partial.is_open()) return false;
+    partial << SweepPartialJson(result);
+    return true;
   }
-  std::ofstream partial(directory + "/" + SweepPartialFileName(result));
-  if (!partial.is_open()) return false;
-  partial << SweepPartialJson(result);
+  CsvWriter csv(directory, result.name + "_sweep", SweepCsvHeader());
+  if (!csv.active()) return false;
+  WriteSweepCsv(result, csv);
+  std::ofstream json(directory + "/" + result.name + "_sweep.json");
+  if (!json.is_open()) return false;
+  json << SweepResultJson(result);
   return true;
 }
 
@@ -466,36 +464,52 @@ bool MergeSweepPartialFiles(const std::vector<std::string>& files, const std::st
     group->second.push_back(std::move(*partial));
   }
 
-  for (const auto& [name, partials] : groups) {
+  // Merge and coverage-check every group before anything is written.
+  std::vector<SweepResult> merged;
+  for (const auto& group : groups) {
+    const std::vector<SweepResult>& partials = group.second;
     std::string error;
-    const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
-    if (merged) error = FirstCoverageGap(partials, *merged);
+    std::optional<SweepResult> result = MergeSweepResults(partials, &error);
+    if (result) error = FirstCoverageGap(partials, *result);
     if (!error.empty()) {
       if (log != nullptr) std::fprintf(log, "merge failed: %s\n", error.c_str());
       ok = false;
       continue;
     }
-    if (!WriteSweepData(*merged, out_dir)) {
+    merged.push_back(std::move(*result));
+  }
+  if (!ok) {
+    if (log != nullptr) std::fprintf(log, "nothing written to '%s'\n", out_dir.c_str());
+    return false;
+  }
+
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    if (log != nullptr) {
+      std::fprintf(log, "cannot create out dir '%s': %s\n", out_dir.c_str(),
+                   ec.message().c_str());
+    }
+    return false;
+  }
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    if (!WriteSweepData(merged[i], out_dir)) {
       if (log != nullptr) {
         std::fprintf(log, "cannot write merged exports for sweep '%s' into '%s'\n",
-                     name.c_str(), out_dir.c_str());
+                     merged[i].name.c_str(), out_dir.c_str());
       }
-      ok = false;
-      continue;
+      return false;
     }
     if (log != nullptr) {
-      const std::vector<std::size_t> still_skipped = merged->BudgetSkippedPoints();
-      std::fprintf(log, "[%s] merged %zu partials: %zu points, %zu runs%s\n", name.c_str(),
-                   partials.size(), merged->points.size(), merged->executed_runs,
-                   still_skipped.empty()
-                       ? ""
-                       : (" (" + std::to_string(still_skipped.size()) +
-                          " budget-skipped points remain — see the partial file)")
-                             .c_str());
+      std::fprintf(log, "[%s] merged %zu partials: %zu points, %zu runs\n",
+                   merged[i].name.c_str(), groups[i].second.size(), merged[i].points.size(),
+                   merged[i].executed_runs);
     }
-    if (merged_out != nullptr) merged_out->push_back(*merged);
   }
-  return ok;
+  if (merged_out != nullptr) {
+    for (SweepResult& result : merged) merged_out->push_back(std::move(result));
+  }
+  return true;
 }
 
 }  // namespace quicer::core

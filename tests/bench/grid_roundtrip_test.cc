@@ -115,7 +115,7 @@ TEST(GridRoundTrip, EverySweepFollowsAnEditedGridScenario) {
     bench::BenchContext context;
     context.scenario = std::make_shared<const core::Scenario>(edited);
     int seen = -1;
-    context.enumerate = [&](const core::SweepSpec& spec, std::size_t) {
+    context.enumerate = [&](const core::SweepSpec& spec) {
       if (spec.name == captured.spec.name) seen = spec.repetitions;
     };
     ASSERT_EQ(bench::RunByName(captured.bench, context), 0);

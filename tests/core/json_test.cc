@@ -1,10 +1,9 @@
 // Edge cases of the minimal JSON parser behind the sweep partial-result
-// files: escapes, nesting limits, truncated input, duplicate keys — and a
-// partial-file round trip that includes budget-skipped points, the shape a
-// budget-clipped sharded run hands to the merge phase.
+// files: escapes, nesting limits, truncated input, duplicate keys — and the
+// partial-file round trip a sharded run hands to the merge phase, with its
+// strictly read header fields.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -342,9 +341,9 @@ TEST(JsonNumber, PowersOfTwoMatchSnprintfReference) {
 }
 
 /// A tiny synthetic spec for the partial-file round trip.
-SweepSpec BudgetSpec() {
+SweepSpec TinySpec() {
   SweepSpec spec;
-  spec.name = "json_budget_test";
+  spec.name = "json_partial_test";
   spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}}};
   spec.repetitions = 3;
   spec.metrics = {{"v", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
@@ -355,50 +354,47 @@ SweepSpec BudgetSpec() {
   return spec;
 }
 
-// A budget-clipped run's partial file lists its skipped points and round
-// trips through disk with every flag intact; re-running exactly those
-// points merges back to the full result.
-TEST(JsonParser, PartialFileRoundTripIncludesBudgetSkippedPoints) {
-  SweepSpec clipped_spec = BudgetSpec();
-  clipped_spec.deadline = std::chrono::steady_clock::time_point::min();  // already past
-  const SweepResult clipped = RunSweep(clipped_spec);
-  const std::vector<std::size_t> skipped = clipped.BudgetSkippedPoints();
-  ASSERT_EQ(skipped.size(), 4u);
-
+// A sharded run's partial files round trip through disk with every
+// executed flag intact, and the shards merge back to the full result.
+TEST(JsonParser, PartialFileRoundTripKeepsExecutedFlags) {
   const std::string dir = testing::TempDir();
-  ASSERT_TRUE(WriteSweepData(clipped, dir));
-  const std::string path = dir + "/" + SweepPartialFileName(clipped);
+  std::vector<SweepResult> partials;
+  for (std::size_t index = 0; index < 2; ++index) {
+    SweepSpec spec = TinySpec();
+    spec.shard = {index, 2};
+    const SweepResult executed = RunSweep(spec);
+    ASSERT_TRUE(WriteSweepData(executed, dir));
+    const std::string path = dir + "/" + SweepPartialFileName(executed);
+    EXPECT_EQ(path, dir + "/json_partial_test_sweep.shard" + std::to_string(index) + "of2.json");
 
-  std::string error;
-  const std::optional<SweepResult> reread = ReadSweepPartialFile(path, &error);
-  std::remove(path.c_str());
-  ASSERT_TRUE(reread.has_value()) << error;
-  EXPECT_EQ(reread->name, clipped.name);
-  EXPECT_EQ(reread->BudgetSkippedPoints(), skipped);
-  for (const PointSummary& summary : reread->points) {
-    EXPECT_TRUE(summary.budget_skipped);
-    EXPECT_FALSE(summary.executed);
+    std::string error;
+    std::optional<SweepResult> reread = ReadSweepPartialFile(path, &error);
+    std::remove(path.c_str());
+    ASSERT_TRUE(reread.has_value()) << error;
+    EXPECT_EQ(reread->name, executed.name);
+    EXPECT_EQ(reread->spec_hash, executed.spec_hash);
+    ASSERT_EQ(reread->points.size(), 4u);
+    for (const PointSummary& summary : reread->points) {
+      EXPECT_EQ(summary.executed, summary.point.index % 2 == index) << summary.point.index;
+    }
+    EXPECT_EQ(SweepPartialJson(*reread), SweepPartialJson(executed));
+    partials.push_back(std::move(*reread));
   }
-
-  SweepSpec rerun_spec = BudgetSpec();
-  rerun_spec.shard.points = skipped;
-  std::optional<SweepResult> rerun =
-      ParseSweepPartialJson(SweepPartialJson(RunSweep(rerun_spec)), &error);
-  ASSERT_TRUE(rerun.has_value()) << error;
-  const std::optional<SweepResult> merged = MergeSweepResults({*reread, *rerun}, &error);
+  std::string error;
+  const std::optional<SweepResult> merged = MergeSweepResults(partials, &error);
   ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(RunSweep(BudgetSpec())));
+  EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(RunSweep(TinySpec())));
 }
 
 // An infinite sample, and the infinite m2 of an overflowed accumulator,
 // write as ±1e999, parse back as ±inf and merge to the unsharded result.
 TEST(JsonParser, PartialDocumentsWithInfinityParseAndMerge) {
   const double inf = std::numeric_limits<double>::infinity();
-  SweepSpec sample_spec = BudgetSpec();
+  SweepSpec sample_spec = TinySpec();
   sample_spec.runner = [inf](const SweepRunContext& ctx) {
     return std::vector<double>{ctx.repetition == 1 ? -inf : 1.0};
   };
-  SweepSpec m2_spec = BudgetSpec();
+  SweepSpec m2_spec = TinySpec();
   m2_spec.reservoir_capacity = 2;
   m2_spec.runner = [](const SweepRunContext& ctx) {
     return std::vector<double>{ctx.repetition % 2 == 0 ? 1e300 : -1e300};
@@ -429,7 +425,7 @@ TEST(JsonParser, PartialDocumentsWithInfinityParseAndMerge) {
 // not rewrite to the same bytes and the series does not survive a shard and
 // merge.
 TEST(JsonParser, OverflowedMomentsOfAnInfiniteSampleRoundTrip) {
-  SweepSpec spec = BudgetSpec();  // 3 repetitions
+  SweepSpec spec = TinySpec();  // 3 repetitions
   spec.reservoir_capacity = 2;
   spec.runner = [](const SweepRunContext& ctx) {
     return std::vector<double>{ctx.repetition == 1 ? std::numeric_limits<double>::infinity()
@@ -468,8 +464,11 @@ TEST(JsonParser, PartialDocumentRejectsWrongShapes) {
 
   // Integer fields must be whole numbers in their type's range (a cast
   // from anything else is undefined or does not survive a rewrite), and a
-  // summary lists no more samples than its reservoir holds.
-  const std::string doc = SweepPartialJson(RunSweep(BudgetSpec()));
+  // summary lists no more samples than its reservoir holds. The header's
+  // uint64 strings are read whole: a hash that read as 0, or a seed that
+  // read as its leading digits, would let partials of different grids or
+  // seed schedules merge.
+  const std::string doc = SweepPartialJson(RunSweep(TinySpec()));
   ASSERT_TRUE(ParseSweepPartialJson(doc, &error).has_value()) << error;
   const auto edited = [&](const std::string& from, const std::string& to) {
     std::string text = doc;
@@ -485,7 +484,13 @@ TEST(JsonParser, PartialDocumentRejectsWrongShapes) {
            {"\"value\": 1}", "\"value\": 9.3e18}", "$.points[0].extras[0].value"},
            {"\"cert_bytes\": ", "\"cert_bytes\": true, \"y\": ", "$.points[0].cert_bytes"},
            {"\"reservoir_capacity\": ", "\"reservoir_capacity\": 2, \"x\": ",
-            "$.points[0].metrics[0].samples"}}) {
+            "$.points[0].metrics[0].samples"},
+           {"\"spec_hash\": \"", "\"spec_hash\": \"not-a-hash-zzzzz\", \"x\": \"", "$.spec_hash"},
+           {"\"spec_hash\": \"", "\"spec_hash\": \"0\", \"x\": \"", "$.spec_hash"},
+           {"\"spec_hash\"", "\"old_spec_hash\"", "$.spec_hash"},
+           {"\"seed_stride\": \"", "\"seed_stride\": \"7x19\", \"x\": \"", "$.seed_stride"},
+           {"\"seed_base\": \"", "\"seed_base\": \"18446744073709551616\", \"x\": \"",
+            "$.seed_base"}}) {
     error.clear();
     EXPECT_FALSE(ParseSweepPartialJson(edited(from, to), &error).has_value()) << to;
     EXPECT_NE(error.find(path), std::string::npos) << error;

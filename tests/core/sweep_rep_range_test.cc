@@ -81,7 +81,6 @@ TEST(RepWindow, WindowExecutesOnlyItsRepetitions) {
   spec.shard.rep_begin = 2;
   spec.shard.rep_end = 5;
   const SweepResult result = RunSweep(spec);
-  EXPECT_TRUE(result.partial());
   EXPECT_TRUE(result.sharded());
   EXPECT_EQ(result.executed_runs, 3u * 3u);
   for (const PointSummary& summary : result.points) {
@@ -172,11 +171,11 @@ TEST(RepWindow, MergeIsIndependentOfPartialOrder) {
   EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(full));
 }
 
-// Windows compose with point selection: --points with --rep-range executes
+// Windows compose with point selection: --shard with --rep-range executes
 // exactly that slice.
 TEST(RepWindow, ComposesWithPointSelection) {
   SweepSpec spec = WindowSpec();
-  spec.shard.points = {1};
+  spec.shard = {1, 2};  // point 1 of the 3-point grid
   spec.shard.rep_begin = 0;
   spec.shard.rep_end = 4;
   const SweepResult result = RunSweep(spec);
@@ -204,7 +203,7 @@ TEST(RepWindow, OverlappingWindowsAreRejected) {
 
 TEST(RepWindow, DuplicatedWholePointPartialIsRejected) {
   SweepSpec spec = WindowSpec();
-  spec.shard = {0, 2, {}};
+  spec.shard = {0, 2};
   const SweepResult shard0 = RunSweep(spec);
   std::string error;
   EXPECT_FALSE(MergeSweepResults({shard0, shard0}, &error).has_value());
@@ -225,6 +224,7 @@ TEST(RepWindow, GapMergesInMemoryButFailsTheFileMerge) {
   EXPECT_EQ(merged->total_runs, 3u * 9u);
 
   const std::string dir = testing::TempDir() + "/rep_window_gap";
+  std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   std::vector<std::string> files;
   for (const SweepResult& partial : partials) {
@@ -242,7 +242,7 @@ TEST(RepWindow, GapMergesInMemoryButFailsTheFileMerge) {
                       " partial"),
             std::string::npos)
       << text;
-  EXPECT_FALSE(std::filesystem::exists(dir + "/out/rep_window_test_sweep.csv"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/out"));
 }
 
 // Two disjoint halves of a window that does not start at repetition 0 (the
@@ -284,16 +284,13 @@ TEST(RepWindow, PartialFileNamesCarryTheWindow) {
   result.shard.rep_end = 0;
   EXPECT_EQ(SweepPartialFileName(result), "x_sweep.reps10toend.json");
 
-  result.shard.points = {1, 2};
-  EXPECT_EQ(SweepPartialFileName(result), "x_sweep.points.reps10toend.json");
-
-  result.shard.points.clear();
   result.shard.index = 1;
   result.shard.count = 4;
   EXPECT_EQ(SweepPartialFileName(result), "x_sweep.shard1of4.reps10toend.json");
 
-  result.shard = SweepShard{};
-  EXPECT_EQ(SweepPartialFileName(result), "x_sweep.partial.json");
+  result.shard.rep_begin = 0;
+  result.shard.rep_end = 0;
+  EXPECT_EQ(SweepPartialFileName(result), "x_sweep.shard1of4.json");
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // exports byte for byte.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -83,13 +84,17 @@ SweepResult ShardRoundTripMerge(const SweepSpec& spec, std::size_t shards) {
 TEST(SweepShard, MergedExportsByteIdenticalAcrossShardCounts) {
   const SweepSpec spec = RepresentativeSpec();
   const SweepResult single = RunSweep(spec);
-  EXPECT_FALSE(single.partial());
+  const auto all_executed = [](const SweepResult& result) {
+    return std::all_of(result.points.begin(), result.points.end(),
+                       [](const PointSummary& summary) { return summary.executed; });
+  };
+  EXPECT_TRUE(all_executed(single));
   const std::string single_json = SweepResultJson(single);
   const std::string single_csv = CsvText(single);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     const SweepResult merged = ShardRoundTripMerge(spec, shards);
-    EXPECT_FALSE(merged.partial()) << shards;
+    EXPECT_TRUE(all_executed(merged)) << shards;
     EXPECT_EQ(merged.total_runs, single.total_runs) << shards;
     EXPECT_EQ(merged.executed_runs, single.executed_runs) << shards;
     EXPECT_EQ(SweepResultJson(merged), single_json) << shards << " shards";
@@ -120,26 +125,20 @@ TEST(SweepShard, ShardContainsPartitionsTheGrid) {
   EXPECT_TRUE(all.Contains(0));
   EXPECT_TRUE(all.Contains(41));
 
-  SweepShard one_of_three{1, 3, {}};
+  SweepShard one_of_three{1, 3};
   EXPECT_FALSE(one_of_three.all());
   EXPECT_TRUE(one_of_three.Contains(1));
   EXPECT_TRUE(one_of_three.Contains(4));
   EXPECT_FALSE(one_of_three.Contains(3));
-
-  SweepShard explicit_points{0, 1, {2, 5}};
-  EXPECT_FALSE(explicit_points.all());
-  EXPECT_TRUE(explicit_points.Contains(2));
-  EXPECT_TRUE(explicit_points.Contains(5));
-  EXPECT_FALSE(explicit_points.Contains(0));
 }
 
 // A sharded execution runs exactly its points — others keep metadata but
-// stay unexecuted with empty series — and partial() reflects the subset.
+// stay unexecuted with empty series — and sharded() reflects the subset.
 TEST(SweepShard, ExecutesOnlySelectedPoints) {
   SweepSpec spec = RepresentativeSpec();
-  spec.shard.points = {1, 4};
+  spec.shard = {1, 3};  // ids 1 and 4 of the 6-point grid
   const SweepResult result = RunSweep(spec);
-  EXPECT_TRUE(result.partial());
+  EXPECT_TRUE(result.sharded());
   ASSERT_EQ(result.points.size(), 6u);
   for (const PointSummary& summary : result.points) {
     const bool selected = summary.point.index == 1 || summary.point.index == 4;
@@ -155,14 +154,14 @@ TEST(SweepShard, ShardValuesMatchFullRunPointwise) {
   const SweepSpec spec = RepresentativeSpec();
   const SweepResult full = RunSweep(spec);
   SweepSpec shard_spec = spec;
-  shard_spec.shard = {1, 2, {}};
-  const SweepResult shard = RunSweep(shard_spec);
+  shard_spec.shard = {1, 2};
+  const SweepResult part = RunSweep(shard_spec);
   for (std::size_t i = 0; i < full.points.size(); ++i) {
-    if (!shard.points[i].executed) continue;
-    EXPECT_EQ(shard.points[i].primary().summary.samples(),
+    if (!part.points[i].executed) continue;
+    EXPECT_EQ(part.points[i].primary().summary.samples(),
               full.points[i].primary().summary.samples())
         << i;
-    EXPECT_EQ(shard.points[i].metrics[1].trace, full.points[i].metrics[1].trace) << i;
+    EXPECT_EQ(part.points[i].metrics[1].trace, full.points[i].metrics[1].trace) << i;
   }
 }
 
@@ -171,7 +170,7 @@ TEST(SweepShard, PartialJsonRoundTripPreservesMetadata) {
   SweepSpec spec = RepresentativeSpec();
   spec.seed_base = 900;
   spec.seed_stride = 31;
-  spec.shard = {0, 2, {}};
+  spec.shard = {0, 2};
   const SweepResult executed = RunSweep(spec);
   const std::string json = SweepPartialJson(executed);
 
@@ -192,50 +191,10 @@ TEST(SweepShard, PartialJsonRoundTripPreservesMetadata) {
   }
 }
 
-// Budget-skipped points are listed in the partial document, and a --points
-// style rerun of exactly those ids merges back into the full result.
-TEST(SweepShard, BudgetSkipRerunMergesToFullResult) {
-  SweepSpec spec;
-  spec.name = "budget_rerun_test";
-  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}, {"c", 3}}}};
-  spec.repetitions = 4;
-  spec.metrics = {{"v", MetricMode::kTrace, /*exclude_negative=*/false, nullptr}};
-  spec.runner = [](const SweepRunContext& ctx) {
-    return std::vector<double>{static_cast<double>(ctx.point.Extra("k")->value * 10 +
-                                                   ctx.repetition)};
-  };
-  const SweepResult full = RunSweep(spec);
-
-  SweepSpec budgeted = spec;
-  budgeted.deadline = std::chrono::steady_clock::time_point::min();  // already past
-  const SweepResult clipped = RunSweep(budgeted);
-  EXPECT_TRUE(clipped.partial());
-  const std::vector<std::size_t> skipped = clipped.BudgetSkippedPoints();
-  ASSERT_EQ(skipped.size(), 3u);
-
-  const std::string partial_json = SweepPartialJson(clipped);
-  EXPECT_NE(partial_json.find("\"budget_skipped_points\": [0, 1, 2]"), std::string::npos);
-
-  SweepSpec rerun = spec;
-  rerun.shard.points = skipped;
-  const SweepResult rerun_result = RunSweep(rerun);
-
-  std::string error;
-  std::optional<SweepResult> clipped_rt = ParseSweepPartialJson(partial_json, &error);
-  ASSERT_TRUE(clipped_rt.has_value()) << error;
-  std::optional<SweepResult> rerun_rt =
-      ParseSweepPartialJson(SweepPartialJson(rerun_result), &error);
-  ASSERT_TRUE(rerun_rt.has_value()) << error;
-  const std::optional<SweepResult> merged =
-      MergeSweepResults({*clipped_rt, *rerun_rt}, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(SweepResultJson(*merged), SweepResultJson(full));
-}
-
 TEST(SweepShard, MergeRejectsMismatchedPartials) {
   const SweepSpec spec = RepresentativeSpec();
   SweepSpec shard0 = spec;
-  shard0.shard = {0, 2, {}};
+  shard0.shard = {0, 2};
   const SweepResult partial0 = RunSweep(shard0);
 
   std::string error;
@@ -255,17 +214,16 @@ TEST(SweepShard, MergeRejectsMismatchedPartials) {
   // else gets compared.
   SweepSpec other_axes = spec;
   other_axes.axes.rtts = {sim::Millis(5), sim::Millis(21), sim::Millis(50)};
-  other_axes.shard = {1, 2, {}};
+  other_axes.shard = {1, 2};
   const SweepResult wrong_grid = RunSweep(other_axes);
   EXPECT_FALSE(MergeSweepResults({partial0, wrong_grid}, &error).has_value());
   EXPECT_NE(error.find("content-hash mismatch"), std::string::npos);
 
-  // Pre-hash documents (spec_hash 0) still trip the point-key check.
-  SweepResult legacy0 = partial0;
-  SweepResult legacy1 = wrong_grid;
-  legacy0.spec_hash = 0;
-  legacy1.spec_hash = 0;
-  EXPECT_FALSE(MergeSweepResults({legacy0, legacy1}, &error).has_value());
+  // Equal hashes over different grids (a collision) still trip the
+  // point-key check.
+  SweepResult collided = wrong_grid;
+  collided.spec_hash = partial0.spec_hash;
+  EXPECT_FALSE(MergeSweepResults({partial0, collided}, &error).has_value());
   EXPECT_NE(error.find("differs between partials"), std::string::npos);
 }
 
@@ -281,7 +239,7 @@ TEST(SweepShard, MergePartialFilesWritesByteIdenticalExports) {
   for (std::size_t i = 0; i < 2; ++i) {
     SweepSpec shard_spec = spec;
     shard_spec.name = "shard_file_test";
-    shard_spec.shard = {i, 2, {}};
+    shard_spec.shard = {i, 2};
     const SweepResult executed = RunSweep(shard_spec);
     ASSERT_TRUE(WriteSweepData(executed, dir));
     files.push_back(dir + "/" + SweepPartialFileName(executed));
@@ -305,6 +263,52 @@ TEST(SweepShard, MergePartialFilesWritesByteIdenticalExports) {
     merged_json.replace(at, std::strlen("shard_file_test"), spec.name);
   }
   EXPECT_EQ(merged_json, single_json);
+}
+
+// A file merge checks every sweep before it writes any: when one sweep of
+// two is given a shard twice, the other sweep, which would merge, is not
+// written either, and a missing output directory is not created.
+TEST(SweepShard, FailedFileMergeWritesNothing) {
+  const std::string dir = testing::TempDir() + "/failed_merge";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/in");
+  std::vector<std::string> files;
+  for (const char* name : {"merge_whole", "merge_twice"}) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      SweepSpec spec = RepresentativeSpec();
+      spec.name = name;
+      spec.shard = {i, 2};
+      const SweepResult executed = RunSweep(spec);
+      ASSERT_TRUE(WriteSweepData(executed, dir + "/in"));
+      files.push_back(dir + "/in/" + SweepPartialFileName(executed));
+    }
+  }
+  files.push_back(files.back());  // merge_twice's shard 1 again
+
+  std::filesystem::create_directories(dir + "/out");
+  std::FILE* log = std::tmpfile();
+  ASSERT_NE(log, nullptr);
+  std::vector<SweepResult> merged;
+  EXPECT_FALSE(MergeSweepPartialFiles(files, dir + "/out", log, &merged));
+  std::rewind(log);
+  std::string text(4096, '\0');
+  text.resize(std::fread(text.data(), 1, text.size(), log));
+  std::fclose(log);
+  EXPECT_NE(text.find("sweep 'merge_twice': point 1 repetitions [0, 5) are covered twice"),
+            std::string::npos)
+      << text;
+  EXPECT_TRUE(std::filesystem::is_empty(dir + "/out"));
+  EXPECT_TRUE(merged.empty());
+  std::filesystem::remove(dir + "/out");
+  EXPECT_FALSE(MergeSweepPartialFiles(files, dir + "/out", nullptr));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/out"));
+
+  // Without the duplicate both sweeps merge and write.
+  files.pop_back();
+  EXPECT_TRUE(MergeSweepPartialFiles(files, dir + "/out", nullptr, &merged));
+  EXPECT_EQ(merged.size(), 2u);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/out/merge_whole_sweep.csv"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/out/merge_twice_sweep.json"));
 }
 
 // The JSON parser handles the document shapes the partial files use.

@@ -136,7 +136,7 @@ TEST(SweepTelemetry, FileMergeFoldsPartialTelemetryIntoOneReport) {
   for (std::size_t shard = 0; shard < 2; ++shard) {
     for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 4}, {4, 0}}) {
       SweepSpec spec = CountingSpec();
-      spec.shard = {shard, 2, {}, begin, end};
+      spec.shard = {shard, 2, begin, end};
       const SweepResult partial = RunSweep(spec);
       ASSERT_TRUE(WriteSweepData(partial, parts));
       files.push_back(parts + "/" + SweepPartialFileName(partial));

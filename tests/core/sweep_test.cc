@@ -86,36 +86,6 @@ TEST(Sweep, ExtrasEnumerateOutermostInDeclarationOrder) {
   EXPECT_EQ(points[0].Extra("unknown"), nullptr);
 }
 
-TEST(Sweep, EnumerateCountMatchesEnumerate) {
-  // The closed-form count backs the grid loader's per-scenario point totals;
-  // it must agree with the materialised enumeration for every axis shape.
-  std::vector<SweepSpec> specs;
-  specs.push_back(SmallSpec());
-  specs.emplace_back();  // empty axes: single base point
-
-  SweepSpec filtered;
-  filtered.axes.http_versions = {http::Version::kHttp1, http::Version::kHttp3};
-  filtered.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
-  specs.push_back(filtered);
-
-  SweepSpec wide = SmallSpec();
-  wide.axes.extras = {{"vantage", {{"A", 0}, {"B", 1}}}, {"day", {{"0", 0}, {"1", 1}}}};
-  wide.axes.losses.push_back(SweepLoss{"l1", nullptr});
-  wide.axes.losses.push_back(SweepLoss{"l2", nullptr});
-  wide.axes.variants.push_back(SweepVariant{});
-  wide.axes.certificate_sizes = {2500, 5000, 10000};
-  specs.push_back(wide);
-
-  SweepSpec h3_base = filtered;
-  h3_base.base.http = http::Version::kHttp3;  // base http also hits the filter
-  h3_base.axes.http_versions.clear();
-  specs.push_back(h3_base);
-
-  for (const SweepSpec& spec : specs) {
-    EXPECT_EQ(EnumerateCount(spec), Enumerate(spec).size()) << spec.name;
-  }
-}
-
 TEST(Sweep, MedianMatchesCollectTtfbMs) {
   SweepSpec spec = SmallSpec();
   const SweepResult result = RunSweep(spec);
@@ -418,37 +388,6 @@ TEST(Sweep, ObserverReportsEveryPointSerialized) {
   EXPECT_EQ(last_completed, 3u);
   EXPECT_EQ(last_runs, 12u);
   EXPECT_EQ(result.executed_runs, 12u);
-}
-
-// An already-expired budget skips every point cleanly: no partial series,
-// every summary flagged, observer still called per point.
-TEST(Sweep, ExpiredBudgetSkipsPointsCleanly) {
-  SweepSpec spec;
-  spec.name = "budget_test";
-  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}}}};
-  spec.repetitions = 3;
-  spec.metrics = {{"v", MetricMode::kTrace, /*exclude_negative=*/false, nullptr}};
-  spec.deadline = std::chrono::steady_clock::time_point::min();  // already past
-  std::atomic<std::size_t> ran{0};
-  spec.runner = [&](const SweepRunContext& ctx) {
-    ++ran;
-    return std::vector<double>{static_cast<double>(ctx.repetition)};
-  };
-  const SweepResult result = RunSweep(spec);
-  EXPECT_EQ(ran.load(), 0u);
-  EXPECT_EQ(result.executed_runs, 0u);
-  for (const PointSummary& summary : result.points) {
-    EXPECT_TRUE(summary.budget_skipped);
-    EXPECT_TRUE(summary.primary().trace.empty());
-  }
-  // Without a budget the same spec runs everything.
-  spec.deadline = std::chrono::steady_clock::time_point::max();
-  const SweepResult full = RunSweep(spec);
-  EXPECT_EQ(full.executed_runs, 6u);
-  for (const PointSummary& summary : full.points) {
-    EXPECT_FALSE(summary.budget_skipped);
-    EXPECT_EQ(summary.primary().trace.size(), 3u);
-  }
 }
 
 // Jobs carry blocks of repetitions; a window that is not a multiple of any

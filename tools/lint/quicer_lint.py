@@ -14,8 +14,9 @@ Rules
          per-repetition forked sim::Rng only).
   ND002  Wall clocks (std::chrono::system_clock, std::chrono::steady_clock,
          std::time/time(nullptr)): banned in simulation and export code.
-         Timing *measurement* (phase timers, budgets) is legitimate and
-         carries a per-site or per-file suppression naming the reason.
+         Timing *measurement* (phase timers, wall-time tables) is
+         legitimate and carries a per-site or per-file suppression naming
+         the reason.
   ND003  std::getenv: banned outside the bench_suite driver (environment
          must not leak into run behaviour; the driver owns the CLI surface).
   ND004  Iterating an unordered_map/unordered_set in a file that writes
