@@ -2,8 +2,8 @@
 // handshakes, 10 KB exchanges, the RTT estimator, PTO computation, ACK-range
 // bookkeeping, the sent-packet ledger's ACK path, the event queue (§4.1's
 // "QUIC stack delays" analogue for this implementation), the scan layer's
-// frontend certificate cache, the JSON number codec and the sweep loop's
-// per-repetition overhead.
+// frontend certificate cache and its RNG draw, the JSON number codec and the
+// sweep loop's per-repetition overhead.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -28,6 +28,7 @@
 #include "scan/sweep_runners.h"
 #include "sim/arena.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 
 namespace {
 
@@ -160,6 +161,17 @@ void BM_PtoEvolutionModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PtoEvolutionModel);
+
+void BM_RngUniformInt(benchmark::State& state) {
+  // One draw in [0, range), range read at run time as the frontend cache
+  // reads its cluster size. Arg 4096: a power-of-two range (masked); arg
+  // 60: any other range (divided), as the arrival draws of the caching
+  // study use.
+  const std::int64_t hi = state.range(0) - 1;
+  sim::Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.UniformInt(0, hi));
+}
+BENCHMARK(BM_RngUniformInt)->Arg(4096)->Arg(60);
 
 void BM_FrontendCacheOnConnection(benchmark::State& state) {
   // Arg 0: hit-heavy — six domains in runs of 64 calls on a warm 4096-machine

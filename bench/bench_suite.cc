@@ -102,7 +102,10 @@ int Usage(const char* argv0) {
       "                of its final exports\n"
       "  --rep-range=A:B  execute only repetitions [A, B) of the selected\n"
       "                points (B omitted or 0 = to the end); windows of one\n"
-      "                point merge back bit-identically\n"
+      "                point merge back bit-identically unless a window after\n"
+      "                the first overflows the point's sample reservoir (4096);\n"
+      "                then mean/stddev agree to rounding and percentiles to\n"
+      "                one histogram bin\n"
       "  --telemetry=F  enable runtime counters (event queue, arena, netem\n"
       "                drops, recovery, phase timers) and write the per-sweep\n"
       "                telemetry report to F; counting never perturbs the\n"

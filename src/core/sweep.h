@@ -131,8 +131,10 @@ struct SweepShard {
   std::size_t count = 1;
   /// Repetition window [rep_begin, rep_end) executed for every selected
   /// point; rep_end 0 means "to the last repetition". Seeds derive from the
-  /// absolute repetition index, so the windows of a split point merge
-  /// bit-identically to an unsplit run.
+  /// absolute repetition index, so every window runs exactly the values of
+  /// an unsplit run. Their merge is bit-identical to the unsplit run while
+  /// no window but the first runs more repetitions than the point's
+  /// reservoir holds; see MergeSweepResults.
   std::size_t rep_begin = 0;
   std::size_t rep_end = 0;
 
@@ -480,9 +482,13 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 /// whole-point partials): per point, summary series fold via
 /// stats::Accumulator::Merge and trace series concatenate in repetition
 /// order; aborted/skipped counters add. A point executed by exactly one
-/// partial (the --shard workflow) or split into repetition windows (the
-/// --rep-range workflow) is reproduced bit-identically, so the merged
-/// CSV/JSON exports match a single-process run byte for byte. Every
+/// partial (the --shard workflow) is reproduced bit-identically, so the
+/// merged CSV/JSON exports match a single-process run byte for byte. A point
+/// split into repetition windows (the --rep-range workflow) follows
+/// stats::Accumulator::Merge: bit-identical as long as no window but the
+/// first runs more repetitions than the reservoir (reservoir_capacity)
+/// holds; past that, count, min and max stay exact, mean and stddev agree
+/// only to rounding and percentiles only to the histogram's bin width. Every
 /// (point, repetition) folds at most once: a repetition two partials both
 /// executed fails the merge. Windows need not tile [0, repetitions) —
 /// executed_runs counts the repetitions covered, and a gap is the caller's

@@ -7,11 +7,9 @@ namespace quicer::scan {
 FrontendCertCache::FrontendCertCache(Config config, sim::Rng rng)
     : config_(config), rng_(rng), frontends_(std::max(1, config.frontends_per_cluster)) {}
 
-void FrontendCertCache::EvictExpired(sim::Time now) {
-  while (tail_ != kNone && slots_[tail_].last_touch + config_.ttl < now) {
-    Release(tail_);
-    ++ttl_evictions_;
-  }
+void FrontendCertCache::ReleaseExpiredTail() {
+  Release(tail_);
+  ++ttl_evictions_;
 }
 
 void FrontendCertCache::Unlink(std::uint32_t s) {
@@ -69,44 +67,26 @@ void FrontendCertCache::Insert(const std::string& domain, std::size_t frontend, 
   }
 }
 
-bool FrontendCertCache::OnConnection(const std::string& domain, sim::Time now) {
-  EvictExpired(now);
-
-  const auto frontend = static_cast<std::size_t>(rng_.UniformInt(0, frontends_ - 1));
-
-  std::uint32_t s = last_;
-  if (s == kNone || slots_[s].domain != domain) {
-    const auto it = index_.find(domain);
-    if (it == index_.end()) {
-      ++misses_;
-      if (config_.capacity == 0) {
-        // The new entry would be its own LRU victim: nothing is stored.
-        ++capacity_evictions_;
-      } else {
-        Insert(domain, frontend, now);
-      }
-      return false;
+std::uint32_t FrontendCertCache::FindOrInsert(const std::string& domain, std::size_t frontend,
+                                              sim::Time now) {
+  const auto it = index_.find(domain);
+  if (it == index_.end()) {
+    ++misses_;
+    if (config_.capacity == 0) {
+      // The new entry would be its own LRU victim: nothing is stored.
+      ++capacity_evictions_;
+    } else {
+      Insert(domain, frontend, now);
     }
-    s = it->second;
-    last_ = s;
+    return kNone;
   }
-
+  const std::uint32_t s = it->second;
   if (s != head_) {
     Unlink(s);
     PushFront(s);
   }
-  Slot& slot = slots_[s];
-  sim::Time& machine_touch = slot.machine_touch[frontend];
-  const bool hot = machine_touch >= 0 && machine_touch + config_.ttl >= now;
-  machine_touch = now;
-  slot.last_touch = now;
-  if (hot) {
-    ++hits_;
-    return true;
-  }
-  // The cluster knows the domain but this machine fetched the certificate.
-  ++misses_;
-  return false;
+  last_ = s;
+  return s;
 }
 
 }  // namespace quicer::scan

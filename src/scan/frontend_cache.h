@@ -22,15 +22,24 @@
 // allocating it again.
 //
 // Invariants. Every live slot is in the index and on the LRU list, and
-// nothing else is. A miss on a full cache releases the LRU tail *before* the
-// new slot is taken — the same final state as inserting first and evicting
-// the tail afterwards — so at most `capacity` touch rows are ever live (and
-// the released tail's row and index node are the ones reused). A hit does
-// one index lookup (none on a memo hit) and allocates nothing; neither does
-// a miss on a full cache. Capacity 0 stores nothing: the new entry would be
-// its own LRU victim. The TTL sweep of the tail comes first, then the
-// frontend draw from the RNG, then the lookup — the draw order the model's
-// results depend on.
+// nothing else is. The memo names the LRU head or nothing: every call that
+// sets it also moves its slot to the head, and releasing the slot clears it,
+// so a memo hit never relinks. A miss on a full cache releases the LRU tail
+// *before* the new slot is taken — the same final state as inserting first
+// and evicting the tail afterwards — so at most `capacity` touch rows are
+// ever live (and the released tail's row and index node are the ones
+// reused). A hit does one index lookup (none on a memo hit) and allocates
+// nothing; neither does a miss on a full cache. Capacity 0 stores nothing:
+// the new entry would be its own LRU victim. The TTL sweep of the tail comes
+// first, then the frontend draw from the RNG, then the lookup — the draw
+// order the model's results depend on.
+//
+// Hot path. OnConnection is inline in this header: in a run of calls to one
+// domain nearly every call is a memo hit, and for those the call itself and
+// its register saves cost as much as the model's work. Its one body keeps
+// the common steps inline (tail check, draw, memo compare, touch) and calls
+// out of line only for work a memo hit never does: releasing an expired
+// tail and the index lookup with its insert or relink (frontend_cache.cc).
 #pragma once
 
 #include <cstdint>
@@ -64,7 +73,16 @@ class FrontendCertCache {
   /// Records a connection for `domain` at `now`. Returns true on a cache hit
   /// (the frontend answers with a coalesced ACK+SH); on a miss the entry is
   /// inserted (certificate fetched).
-  bool OnConnection(const std::string& domain, sim::Time now);
+  bool OnConnection(const std::string& domain, sim::Time now) {
+    EvictExpired(now);
+    const std::size_t frontend = DrawFrontend();
+    std::uint32_t s = last_;
+    if (s == kNone || slots_[s].domain != domain) {
+      s = FindOrInsert(domain, frontend, now);
+      if (s == kNone) return false;
+    }
+    return Touch(slots_[s], frontend, now);
+  }
 
   std::size_t size() const { return index_.size(); }
   std::uint64_t hits() const { return hits_; }
@@ -91,7 +109,31 @@ class FrontendCertCache {
 
   using Index = std::unordered_map<std::string, std::uint32_t>;
 
-  void EvictExpired(sim::Time now);
+  std::size_t DrawFrontend() {
+    return static_cast<std::size_t>(rng_.UniformInt(0, frontends_ - 1));
+  }
+  /// Touches the cached `slot` on `frontend` at `now` and counts the call:
+  /// a hit when that machine touched the domain within the TTL, else a miss
+  /// (the cluster knows the domain but this machine fetches the
+  /// certificate).
+  bool Touch(Slot& slot, std::size_t frontend, sim::Time now) {
+    sim::Time& machine_touch = slot.machine_touch[frontend];
+    const bool hot = machine_touch >= 0 && machine_touch + config_.ttl >= now;
+    machine_touch = now;
+    slot.last_touch = now;
+    hits_ += hot;
+    misses_ += !hot;
+    return hot;
+  }
+  /// The TTL sweep: drops LRU-tail entries untouched for longer than the TTL.
+  void EvictExpired(sim::Time now) {
+    while (tail_ != kNone && slots_[tail_].last_touch + config_.ttl < now) ReleaseExpiredTail();
+  }
+  void ReleaseExpiredTail();
+  /// A call whose domain is not the memo's: returns the domain's slot, moved
+  /// to the LRU head and memoised, or kNone after counting a miss and
+  /// caching the domain (touched on `frontend` at `now`).
+  std::uint32_t FindOrInsert(const std::string& domain, std::size_t frontend, sim::Time now);
   void Unlink(std::uint32_t s);
   void PushFront(std::uint32_t s);
   /// Unlinks `s`, puts it on the free list and hands back its index node.

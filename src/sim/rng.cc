@@ -13,8 +13,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
@@ -24,36 +22,7 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<std::int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<std::int64_t>(Next() % range);
-}
-
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
-}
 
 double Rng::StandardNormal() {
   if (have_cached_normal_) {

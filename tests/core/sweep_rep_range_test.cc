@@ -1,11 +1,13 @@
 // Repetition-range sharding: a window [a, b) of a point's repetitions runs
 // with the absolute-repetition seed schedule, so the windows of a split
-// point merge back bit-identically to an unsplit run — the property
-// `bench_suite --rep-range` + `merge` relies on. The merge counts every
-// (point, repetition) exactly once: overlapping windows fail, and a gap
-// fails the file merge that writes final exports.
+// point merge back bit-identically to an unsplit run while no later window
+// overflows its reservoir — the property `bench_suite --rep-range` + `merge`
+// relies on. The merge counts every (point, repetition) exactly once:
+// overlapping windows fail, and a gap fails the file merge that writes final
+// exports.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +18,8 @@
 #include "core/csv.h"
 #include "core/sweep.h"
 #include "core/sweep_partial.h"
+#include "sim/rng.h"
+#include "stats/accumulator.h"
 
 namespace quicer::core {
 namespace {
@@ -271,6 +275,56 @@ TEST(RepWindow, HalvesOfASubRangeMergeLikeTheWholeSubRange) {
     return Slurp(testing::TempDir() + "/" + name + ".csv");
   };
   EXPECT_EQ(csv(*merged, "sub_range_merged"), csv(whole, "sub_range_whole"));
+}
+
+// Windows of a point whose accumulator overflows its reservoir merge by
+// stats::Accumulator::Merge's rule. A later window that still fits its
+// reservoir is replayed sample by sample, so 0:15 + 15: (the first window
+// overflows, the second holds 5 of 8) is bit-identical to the unsplit run.
+// A later window that overflowed hands over moments and a histogram only:
+// 0:5 + 5: keeps count, min and max exact, the mean to rounding and the
+// median to one histogram bin.
+TEST(RepWindow, OverflowingLaterWindowMergesWithinAccumulatorBounds) {
+  SweepSpec base;
+  base.name = "rep_window_overflow_test";
+  base.axes.extras = {{"k", {{"a", 1}, {"b", 2}}}};
+  base.repetitions = 20;
+  base.reservoir_capacity = 8;
+  base.seed_base = 100;
+  base.seed_stride = 7;
+  base.metrics = {{"m", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  base.runner = [](const SweepRunContext& ctx) {
+    const double k = static_cast<double>(ctx.point.Extra("k")->value);
+    return std::vector<double>{k + sim::Rng(ctx.seed).NextDouble()};
+  };
+  const SweepResult full = RunSweep(base);
+  const std::string full_json = SweepResultJson(full);
+
+  const auto merge = [&](std::size_t split) {
+    std::string error;
+    std::optional<SweepResult> merged =
+        MergeSweepResults({WindowPartial(base, 0, split), WindowPartial(base, split, 0)}, &error);
+    EXPECT_TRUE(merged.has_value()) << error;
+    return merged ? std::move(*merged) : SweepResult{};
+  };
+
+  EXPECT_EQ(SweepResultJson(merge(15)), full_json);
+
+  const SweepResult merged = merge(5);
+  ASSERT_EQ(merged.points.size(), full.points.size());
+  for (std::size_t i = 0; i < full.points.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "point " << i);
+    const stats::Accumulator& want = full.points[i].metrics[0].summary;
+    const stats::Accumulator& got = merged.points[i].metrics[0].summary;
+    ASSERT_FALSE(want.exact());
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_NEAR(got.mean(), want.mean(), 1e-12 * std::abs(want.mean()));
+    const double bin_width =
+        (want.max() - want.min()) / static_cast<double>(stats::Accumulator::kHistogramBins);
+    EXPECT_NEAR(got.Median(), want.Median(), bin_width);
+  }
 }
 
 TEST(RepWindow, PartialFileNamesCarryTheWindow) {

@@ -175,11 +175,14 @@ TEST(FrontendCache, PopularDomainStaysHotterThanColdOne) {
 /// the same answer and size after every call. The stream mixes runs of one
 /// domain, a hot set and a pool larger than any capacity under test (short
 /// and heap-allocated names), gaps of 0-5 s with occasional 400 s jumps, and
-/// call times up to a minute behind the stream clock.
+/// call times up to a minute behind the stream clock. With `min_run` > 0 a
+/// domain keeps the stream for `min_run` to 2 * `min_run` calls before the
+/// next pick — the long memo runs that never leave the inline body.
 void ExpectMatchesReference(std::size_t capacity, int frontends, sim::Duration ttl,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, int min_run = 0) {
   SCOPED_TRACE(testing::Message() << "capacity " << capacity << ", frontends " << frontends
-                                  << ", ttl " << ttl << " us, seed " << seed);
+                                  << ", ttl " << ttl << " us, seed " << seed << ", min_run "
+                                  << min_run);
   FrontendCertCache::Config config;
   config.capacity = capacity;
   config.ttl = ttl;
@@ -194,14 +197,18 @@ void ExpectMatchesReference(std::size_t capacity, int frontends, sim::Duration t
   }
   sim::Rng stream(seed * 7919 + 1);
   std::size_t domain = 0;
+  std::int64_t run_left = 0;
   sim::Time clock = 0;
   std::uint64_t hits = 0;
   for (int call = 0; call < 6000; ++call) {
-    const double pick = stream.NextDouble();
-    if (pick >= 0.5) {
-      domain = static_cast<std::size_t>(
-          pick < 0.8 ? stream.UniformInt(0, 3)
-                     : stream.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1));
+    if (min_run == 0 || --run_left < 0) {
+      const double pick = stream.NextDouble();
+      if (min_run > 0 || pick >= 0.5) {
+        domain = static_cast<std::size_t>(
+            pick < 0.8 ? stream.UniformInt(0, 3)
+                       : stream.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1));
+      }
+      if (min_run > 0) run_left = stream.UniformInt(min_run, 2 * min_run) - 1;
     }
     clock += stream.Bernoulli(0.05) ? sim::Seconds(400) : stream.UniformInt(0, 5) * sim::kSecond;
     const sim::Time now =
@@ -220,7 +227,8 @@ void ExpectMatchesReference(std::size_t capacity, int frontends, sim::Duration t
 TEST(FrontendCache, MatchesReferenceModel) {
   std::uint64_t seed = 1;
   for (std::size_t capacity : {0, 1, 2, 64}) {
-    for (int frontends : {1, 3, 4096}) {
+    // 64, 4096 and 16384 are the study's cluster sizes (power-of-two draws).
+    for (int frontends : {1, 3, 64, 4096, 16384}) {
       // 2 s is shorter than most of the stream's gaps; 300 s outlives all
       // but the 400 s jumps.
       for (sim::Duration ttl : {sim::Seconds(2), sim::Seconds(300)}) {
@@ -228,6 +236,77 @@ TEST(FrontendCache, MatchesReferenceModel) {
       }
     }
   }
+}
+
+TEST(FrontendCache, MatchesReferenceModelOnLongSingleDomainRuns) {
+  std::uint64_t seed = 101;
+  for (std::size_t capacity : {1, 2, 64}) {
+    for (int frontends : {1, 3, 64, 16384}) {
+      for (sim::Duration ttl : {sim::Seconds(2), sim::Seconds(300)}) {
+        ExpectMatchesReference(capacity, frontends, ttl, seed++, /*min_run=*/100);
+      }
+    }
+  }
+}
+
+/// A call of a targeted case and the answer it must give.
+struct Call {
+  const char* domain;
+  sim::Time now;
+  bool hit;
+};
+
+/// Replays `calls` on a cache and the reference model; both must give the
+/// listed answer and the same size after every call.
+FrontendCertCache ReplayAgainstReference(FrontendCertCache::Config config,
+                                         const std::vector<Call>& calls) {
+  FrontendCertCache cache(config, sim::Rng(1));
+  ReferenceCache reference(config, sim::Rng(1));
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "call " << i << ": " << calls[i].domain << " at "
+                                    << calls[i].now << " us");
+    EXPECT_EQ(cache.OnConnection(calls[i].domain, calls[i].now), calls[i].hit);
+    EXPECT_EQ(reference.OnConnection(calls[i].domain, calls[i].now), calls[i].hit);
+    EXPECT_EQ(cache.size(), reference.size());
+  }
+  EXPECT_EQ(cache.ttl_evictions(), reference.ttl_evictions);
+  EXPECT_EQ(cache.capacity_evictions(), reference.capacity_evictions);
+  return cache;
+}
+
+TEST(FrontendCache, TailTouchedExactlyOneTtlAgoIsStillLive) {
+  // b is the tail, a the memoised head. At last_touch + ttl == now the tail
+  // is live, so the repeat call to a evicts nothing.
+  const FrontendCertCache cache = ReplayAgainstReference(
+      SingleMachine(8, sim::Seconds(10)), {{"b.com", 0, false},
+                                           {"a.com", sim::Seconds(5), false},
+                                           {"a.com", sim::Seconds(10), true}});
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.ttl_evictions(), 0u);
+}
+
+TEST(FrontendCache, TailExpiresOneTickAfterItsTtl) {
+  // One tick later the tail b has expired: the repeat call to a must sweep
+  // it out before it hits.
+  const FrontendCertCache cache = ReplayAgainstReference(
+      SingleMachine(8, sim::Seconds(10)), {{"b.com", 0, false},
+                                           {"a.com", sim::Seconds(5), false},
+                                           {"a.com", sim::Seconds(10) + 1, true}});
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.ttl_evictions(), 1u);
+}
+
+TEST(FrontendCache, ExpiredMemoSlotThatIsAlsoTheTailMisses) {
+  // Capacity 1: the memoised head is the tail. Live at its TTL boundary, it
+  // expires a tick later, is released and the call misses and re-inserts.
+  const FrontendCertCache cache = ReplayAgainstReference(
+      SingleMachine(1, sim::Seconds(10)), {{"a.com", 0, false},
+                                           {"a.com", sim::Seconds(10), true},
+                                           {"a.com", sim::Seconds(20) + 1, false},
+                                           {"a.com", sim::Seconds(21), true}});
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.ttl_evictions(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(FrontendCache, ReinsertedDomainIsColdOnEveryMachine) {
