@@ -27,7 +27,7 @@
 //   bench_suite merge --out-dir=out/ PARTIAL.json...   # recombine shards
 //
 //   bench_suite export-grid [BENCH...] [--scale=N] [--out=FILE] [--check]
-//   bench_suite run --grid=FILE [--data-dir=DIR] [--shard=I/N] [--rep-range=A:B]
+//   bench_suite run --grid=FILE --data-dir=DIR [--shard=I/N] [--rep-range=A:B]
 //   bench_suite schema                 # scenario base-field table (markdown)
 //
 //   bench_suite --telemetry=FILE      # runtime counters -> per-sweep report
@@ -41,7 +41,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -85,7 +84,7 @@ int Usage(const char* argv0) {
       "          [--telemetry=FILE] [--qlog-dir=DIR]\n"
       "       %s merge [--out-dir=DIR] [--telemetry=FILE] PARTIAL.json...\n"
       "       %s export-grid [BENCH...] [--scale=N] [--out=FILE] [--check]\n"
-      "       %s run --grid=FILE [--data-dir=DIR] [--threads=N] [--progress]\n"
+      "       %s run --grid=FILE --data-dir=DIR [--threads=N] [--progress]\n"
       "              [--shard=I/N] [--rep-range=A:B]\n"
       "              [--telemetry=FILE] [--qlog-dir=DIR]\n"
       "       %s schema\n"
@@ -126,7 +125,8 @@ int Usage(const char* argv0) {
       "                through the standard pipeline; exports are\n"
       "                byte-identical to the compiled-in run for unedited\n"
       "                export-grid output, and composable with --shard /\n"
-      "                --rep-range / merge for edited grids\n"
+      "                --rep-range / merge for edited grids; needs a data\n"
+      "                dir and rejects a scenario that enumerates no point\n"
       "  schema        print the scenario base-config field table (markdown,\n"
       "                generated from the codec's descriptor table)\n",
       argv0, argv0, argv0, argv0, argv0);
@@ -362,11 +362,11 @@ std::optional<std::string> SlurpFile(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 /// One scenario of a grid file, validated against the registry: the bench
-/// exists, the sweep exists in it, and the scenario resolves cleanly onto
-/// the captured live spec.
+/// exists, the sweep exists in it, the scenario resolves cleanly onto the
+/// captured live spec, and the result enumerates at least one point.
 struct GridScenario {
   quicer::core::Scenario scenario;
-  quicer::core::SweepSpec applied;  // live spec + scenario data
+  quicer::core::SweepSpec applied;  // live spec + scenario data; what run --grid runs
 };
 
 /// Parses `text` and validates every scenario against the compiled-in
@@ -411,6 +411,11 @@ std::optional<std::vector<GridScenario>> LoadGrid(const std::string& text, std::
     entry.scenario = scenario;
     entry.applied = live->spec;
     if (!quicer::core::ApplyScenario(scenario, entry.applied, &error)) return std::nullopt;
+    if (quicer::core::Enumerate(entry.applied).empty()) {
+      error = "bench '" + scenario.bench + "' sweep '" + scenario.sweep +
+              "' enumerates no points: nothing would run";
+      return std::nullopt;
+    }
     entries.push_back(std::move(entry));
   }
 
@@ -533,6 +538,13 @@ int RunGrid(int argc, char** argv) {
     std::fprintf(stderr, "run: pass --grid=FILE (a scenario file; see export-grid)\n");
     return 2;
   }
+  // A grid run prints no analysis: its exports are its only product, so a
+  // run without a data dir would be silently discarded.
+  if (context.data_dir.empty()) {
+    std::fprintf(stderr, "run: --grid writes its results only as exports: pass "
+                 "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
+    return 2;
+  }
   const std::optional<std::string> text = SlurpFile(grid_path);
   if (!text) {
     std::fprintf(stderr, "run: cannot read '%s'\n", grid_path.c_str());
@@ -544,16 +556,15 @@ int RunGrid(int argc, char** argv) {
     std::fprintf(stderr, "run: %s: %s\n", grid_path.c_str(), error.c_str());
     return 2;
   }
-  if (ShardedRunLacksDataDir(context)) return 2;
 
+  // Each scenario runs the spec LoadGrid applied and validated; the bench
+  // body already ran once, as the capture pass, and its printed analysis
+  // is skipped (a data-defined grid may drop the points it reads).
   std::vector<TimedUnit> units;
   for (const GridScenario& entry : *grid) {
     units.push_back({entry.scenario.sweep, entry.scenario.bench, [&context, &entry] {
-                       BenchContext scenario_context = context;
-                       scenario_context.sweep_filter = entry.scenario.sweep;
-                       scenario_context.scenario =
-                           std::make_shared<const quicer::core::Scenario>(entry.scenario);
-                       return quicer::bench::RunByName(entry.scenario.bench, scenario_context);
+                       quicer::bench::Run(entry.applied, context);
+                       return 0;
                      }});
   }
   return RunTimed(units, telemetry_path, "sweep",

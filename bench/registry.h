@@ -14,10 +14,14 @@
 //     core::SweepSpec spec;  // name, axes, repetitions, metrics...
 //     bench::Scale(spec, ctx);
 //     const auto result = bench::Run(spec, ctx);
-//     if (!result) return 0;  // sharded, grid-driven or enumerate pass
+//     if (!result) return 0;  // sharded run or enumerate pass
 //     ...                     // printed analysis of *result
 //     return 0;
 //   }
+//
+// `run --grid` runs a bench body only as an enumerate pass: it captures the
+// sweep's spec there, applies the scenario to it and hands the applied spec
+// to Run itself.
 //
 // The bench bodies are compiled once, into an object library that
 // bench_suite and the grid round-trip test link in full, so every static
@@ -25,12 +29,10 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/scenario.h"
 #include "core/sweep.h"
 
 namespace quicer::bench {
@@ -48,17 +50,9 @@ struct BenchContext {
   /// Grid subset this process executes (--shard=i/N and/or
   /// --rep-range=a:b).
   core::SweepShard shard;
-  /// When non-empty, only the sweep with this name executes; Run skips its
-  /// sibling sweeps in the same bench. `run --grid` targets one (bench,
-  /// sweep) pair at a time.
-  std::string sweep_filter;
   /// When set, Run executes nothing: it hands every sweep's final spec here
   /// instead (the capture pass behind export-grid and run --grid).
   std::function<void(const core::SweepSpec&)> enumerate;
-  /// A grid scenario (--grid): Run overwrites the compiled-in data of the
-  /// sweep it names with the scenario's, and exports that sweep without the
-  /// bench's printed analysis.
-  std::shared_ptr<const core::Scenario> scenario;
   /// When non-empty, every run of every executed sweep writes its qlog
   /// trace pair under this directory (--qlog-dir).
   std::string qlog_dir;
@@ -70,18 +64,16 @@ struct BenchContext {
   bool dense_axes() const { return scale > 1; }
 };
 
-/// Runs one sweep of a bench body under the suite options — the only way a
-/// bench executes a sweep. Pass the spec with its final name. In order:
-///  1. a `ctx.scenario` naming this sweep overwrites its grid data (a
-///     scenario that no longer applies runs and exports nothing);
-///  2. an enumerate pass hands the spec to `ctx.enumerate` and stops;
-///  3. a sibling of `ctx.sweep_filter` stops without running;
-///  4. the --progress printer, shard and qlog dir are attached;
-///  5. core::RunSweep executes the selected subset;
-///  6. the exports are written into `ctx.data_dir` (the final pair, or a
-///     partial file) with the partial-run and grid-run notes.
+/// Runs one sweep under the suite options — the only way a bench body or a
+/// `run --grid` scenario executes a sweep. Pass the spec with its final
+/// name. In order:
+///  1. an enumerate pass hands the spec to `ctx.enumerate` and stops;
+///  2. the --progress printer, shard and qlog dir are attached;
+///  3. core::RunSweep executes the selected subset;
+///  4. the exports are written into `ctx.data_dir` (the final pair, or a
+///     partial file with the partial-run note).
 /// Returns the result only when the bench's printed analysis may read it: a
-/// full run of the compiled-in grid. Otherwise the bench returns 0.
+/// run of every point. Otherwise the bench returns 0.
 std::optional<core::SweepResult> Run(core::SweepSpec spec, const BenchContext& ctx);
 
 struct BenchInfo {
@@ -96,9 +88,6 @@ class Registry {
 
   void Add(BenchInfo info);
 
-  /// All registered benches, sorted by name.
-  std::vector<BenchInfo> Benches() const;
-
   /// Benches whose name contains `filter` (empty matches all), sorted.
   std::vector<BenchInfo> Match(const std::string& filter) const;
 
@@ -112,10 +101,6 @@ struct Registrar {
   Registrar(std::string name, std::string description,
             std::function<int(const BenchContext&)> run);
 };
-
-/// Runs one registered bench by exact name; returns its exit code (2 if the
-/// name is unknown).
-int RunByName(const std::string& name, const BenchContext& context);
 
 #define QUICER_BENCH_CONCAT_(a, b) a##b
 #define QUICER_BENCH_CONCAT(a, b) QUICER_BENCH_CONCAT_(a, b)

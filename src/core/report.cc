@@ -60,12 +60,4 @@ std::string RenderAccumulatorScatter(const stats::Accumulator& values, double lo
   return RenderScatter(values.samples(), lo, hi, width);
 }
 
-void PrintSeries(const std::string& x_label, const std::string& y_label,
-                 const std::vector<std::pair<double, double>>& points) {
-  std::printf("%14s  %14s\n", x_label.c_str(), y_label.c_str());
-  for (const auto& [x, y] : points) {
-    std::printf("%14.3f  %14.3f\n", x, y);
-  }
-}
-
 }  // namespace quicer::core

@@ -37,8 +37,4 @@ std::string RenderScatter(const std::vector<double>& values, double lo, double h
 std::string RenderAccumulatorScatter(const stats::Accumulator& values, double lo, double hi,
                                      std::size_t width = 60);
 
-/// Renders a simple series as "x -> y" aligned columns.
-void PrintSeries(const std::string& x_label, const std::string& y_label,
-                 const std::vector<std::pair<double, double>>& points);
-
 }  // namespace quicer::core

@@ -305,7 +305,6 @@ std::string ScenarioJson(const SweepSpec& spec, std::string_view bench, int inde
   out += in1 + "\"repetitions\": " + std::to_string(spec.repetitions) + ",\n";
   out += in1 + "\"seed_base\": " + WriteU64(spec.seed_base) + ",\n";
   out += in1 + "\"seed_stride\": " + WriteU64(spec.seed_stride) + ",\n";
-  out += in1 + "\"skip_unsupported_http3\": " + WriteBool(spec.skip_unsupported_http3) + ",\n";
   out += in1 + "\"reservoir_capacity\": " + std::to_string(spec.reservoir_capacity) + ",\n";
 
   out += in1 + "\"base\": {\n";
@@ -640,8 +639,6 @@ bool ParseScenarioObject(const JsonValue& v, const std::string& path, Scenario& 
       if (!ResolveU64(value, scenario.seed_base, e)) return ctx.Fail(key_path, e);
     } else if (key == "seed_stride") {
       if (!ResolveU64(value, scenario.seed_stride, e)) return ctx.Fail(key_path, e);
-    } else if (key == "skip_unsupported_http3") {
-      if (!ResolveBool(value, scenario.skip_unsupported_http3, e)) return ctx.Fail(key_path, e);
     } else if (key == "reservoir_capacity") {
       if (!ResolveSize(value, 1.0, scenario.reservoir_capacity, e)) return ctx.Fail(key_path, e);
     } else if (key == "base") {
@@ -682,8 +679,7 @@ bool ParseScenarioObject(const JsonValue& v, const std::string& path, Scenario& 
     } else {
       return ctx.Fail(path, "unknown scenario field '" + key +
                                 "' (known: bench, sweep, repetitions, seed_base, seed_stride, "
-                                "skip_unsupported_http3, reservoir_capacity, base, axes, "
-                                "metrics)");
+                                "reservoir_capacity, base, axes, metrics)");
     }
   }
   if (scenario.sweep.empty()) return ctx.Fail(path, "scenario misses its 'sweep' name");
@@ -865,7 +861,6 @@ bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error
   spec.repetitions = scenario.repetitions;
   spec.seed_base = scenario.seed_base;
   spec.seed_stride = scenario.seed_stride;
-  spec.skip_unsupported_http3 = scenario.skip_unsupported_http3;
   spec.reservoir_capacity = scenario.reservoir_capacity;
   spec.axes.clients = scenario.clients;
   spec.axes.http_versions = scenario.http_versions;

@@ -15,9 +15,9 @@
 // enumerate pass, no experiments run — plus a small registry of builtin
 // losses ("none", "first-server-flight-tail", "second-client-flight") and
 // metrics ("ttfb_ms", "response_ttfb_ms"). So `bench_suite export-grid B |
-// bench_suite run --grid=-` reproduces the compiled-in grid byte for byte,
-// and a hand-edited copy sweeps axes the paper never shipped without
-// touching a compiler.
+// bench_suite run --grid=- --data-dir=D` reproduces the compiled-in grid
+// byte for byte, and a hand-edited copy sweeps axes the paper never shipped
+// without touching a compiler.
 //
 // ScenarioHash fingerprints the canonical serialization. RunSweep stamps it
 // into every result, partial files carry it, and the merge phase refuses to
@@ -75,7 +75,6 @@ struct Scenario {
   int repetitions = 25;
   std::uint64_t seed_base = 0;
   std::uint64_t seed_stride = 7919;
-  bool skip_unsupported_http3 = true;
   std::size_t reservoir_capacity = stats::Accumulator::kDefaultReservoirCapacity;
   ExperimentConfig base;
 

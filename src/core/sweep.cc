@@ -217,8 +217,7 @@ std::vector<SweepPoint> Enumerate(const SweepSpec& spec) {
                   if (client) point.config.client = *client;
                   if (behavior) point.config.behavior = *behavior;
                   if (links_from_axis) point.config.link = link.model;
-                  if (spec.skip_unsupported_http3 &&
-                      point.config.http == http::Version::kHttp3 &&
+                  if (point.config.http == http::Version::kHttp3 &&
                       !clients::SupportsHttp3(point.config.client)) {
                     continue;
                   }
@@ -258,12 +257,6 @@ const PointSummary* SweepResult::Find(
     if (pred(summary.point)) return &summary;
   }
   return nullptr;
-}
-
-const MetricSeries* SweepResult::FindMetric(
-    const std::function<bool(const SweepPoint&)>& pred, std::string_view metric) const {
-  const PointSummary* summary = Find(pred);
-  return summary == nullptr ? nullptr : summary->Metric(metric);
 }
 
 SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {

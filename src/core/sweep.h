@@ -333,10 +333,6 @@ struct SweepSpec {
   std::uint64_t seed_base = 0;
   std::uint64_t seed_stride = 7919;
 
-  /// Drop (client, HTTP/3) combinations the client does not support, the
-  /// way every bench loop skips them.
-  bool skip_unsupported_http3 = true;
-
   /// Per-point accumulator reservoir capacity (percentiles are exact and
   /// scatter samples retained while repetitions stay within it). Raise it to
   /// the repetition count when exact percentiles over large scans matter.
@@ -461,14 +457,11 @@ struct SweepResult {
   /// outermost-to-innermost: extras (declaration order), http, variant,
   /// link, loss, certificate, Δt, RTT, mode, client, behavior.
   const PointSummary* Find(const std::function<bool(const SweepPoint&)>& pred) const;
-
-  /// Series of `metric` at the first point matching `pred`, or nullptr.
-  const MetricSeries* FindMetric(const std::function<bool(const SweepPoint&)>& pred,
-                                 std::string_view metric) const;
 };
 
-/// Phase 1 — enumerates the flat grid of a spec (no experiments run). The
-/// position of a point in the returned vector is its stable id.
+/// Phase 1 — enumerates the flat grid of a spec (no experiments run),
+/// dropping (client, HTTP/3) pairs the client cannot run. The position of a
+/// point in the returned vector is its stable id.
 std::vector<SweepPoint> Enumerate(const SweepSpec& spec);
 
 /// Phase 2 — runs the subset of the grid selected by spec.shard (default:

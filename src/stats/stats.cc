@@ -94,15 +94,6 @@ double Cdf::At(double x) const {
   return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-double Cdf::Quantile(double q) const {
-  if (sorted_.empty()) return 0.0;
-  if (q <= 0.0) return sorted_.front();
-  if (q >= 1.0) return sorted_.back();
-  const std::size_t index =
-      static_cast<std::size_t>(std::ceil(q * static_cast<double>(sorted_.size()))) - 1;
-  return sorted_[std::min(index, sorted_.size() - 1)];
-}
-
 std::vector<std::pair<double, double>> Cdf::SampleLogX(double lo, double hi,
                                                        std::size_t points) const {
   std::vector<std::pair<double, double>> out;

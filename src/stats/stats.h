@@ -59,9 +59,6 @@ class Cdf {
   /// P(X <= x).
   double At(double x) const;
 
-  /// Smallest value v with P(X <= v) >= q, q in (0, 1].
-  double Quantile(double q) const;
-
   std::size_t size() const { return sorted_.size(); }
   bool empty() const { return sorted_.empty(); }
 

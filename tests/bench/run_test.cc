@@ -1,8 +1,6 @@
-// bench::Run's harness duties outside the enumerate pass: a full run of the
-// compiled-in grid returns its result for the bench's analysis and writes
-// the final export pair; a shard returns nothing and writes only its
-// partial-result file; a sibling of the sweep a `run --grid` targets runs
-// nothing at all.
+// bench::Run's harness duties outside the enumerate pass: a full run
+// returns its result for the bench's analysis and writes the final export
+// pair; a shard returns nothing and writes only its partial-result file.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,16 +59,6 @@ TEST(BenchRun, ShardReturnsNothingAndWritesOnlyItsPartialFile) {
     files.push_back(entry.path().filename().string());
   }
   EXPECT_EQ(files, std::vector<std::string>{"bench_run_test_sweep.shard1of2.json"});
-}
-
-TEST(BenchRun, SiblingOfTheFilteredSweepRunsNothing) {
-  std::atomic<int> calls{0};
-  bench::BenchContext ctx;
-  ctx.data_dir = DataDir("bench_run_sibling");
-  ctx.sweep_filter = "another_sweep";
-  EXPECT_FALSE(bench::Run(CountingSpec(calls), ctx).has_value());
-  EXPECT_EQ(calls.load(), 0);
-  EXPECT_TRUE(std::filesystem::is_empty(ctx.data_dir));
 }
 
 }  // namespace

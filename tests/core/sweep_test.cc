@@ -178,8 +178,10 @@ TEST(Sweep, CustomRunnerFeedsMetrics) {
   EXPECT_EQ(result.points[0].Metric("value")->trace, (std::vector<double>{10, 11, 12, 13}));
   EXPECT_EQ(result.points[1].Metric("value")->trace, (std::vector<double>{20, 21, 22, 23}));
   EXPECT_DOUBLE_EQ(result.points[0].Metric("rep")->summary.mean(), 1.5);
-  const MetricSeries* series =
-      result.FindMetric([](const SweepPoint& p) { return p.Extra("k")->value == 20; }, "value");
+  const PointSummary* point =
+      result.Find([](const SweepPoint& p) { return p.Extra("k")->value == 20; });
+  ASSERT_NE(point, nullptr);
+  const MetricSeries* series = point->Metric("value");
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->trace.front(), 20.0);
 }

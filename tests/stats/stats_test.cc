@@ -67,13 +67,6 @@ TEST(Cdf, AtIsMonotoneAndBounded) {
   }
 }
 
-TEST(Cdf, QuantileInvertsAt) {
-  Cdf cdf({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(cdf.Quantile(0.0), 1.0);
-}
-
 TEST(Cdf, SampleLogXProducesRequestedPoints) {
   Cdf cdf({0.5, 1, 2, 4, 8, 16});
   const auto points = cdf.SampleLogX(0.1, 100.0, 20);
