@@ -94,6 +94,20 @@ std::string_view ToString(MetricMode mode) {
   return "?";
 }
 
+void SweepRunner::RunBlock(const SweepBlock& block) const {
+  if (block_) {
+    block_(block);
+    return;
+  }
+  for (std::size_t i = 0; i < block.count; ++i) {
+    const std::size_t rep = block.first + i;
+    const std::vector<double> values =
+        repetition_(SweepRunContext{block.point, static_cast<int>(rep), block.Seed(rep), block.memo});
+    double* row = block.Row(i);
+    for (std::size_t m = 0; m < values.size() && m < block.width; ++m) row[m] = values[m];
+  }
+}
+
 bool SweepShard::Contains(std::size_t point_id) const {
   return count <= 1 || point_id % count == index;
 }
@@ -417,10 +431,11 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   progress.points_total = selected.size();
   progress.runs_total = selected.size() * win;
 
-  // A job runs a block of consecutive repetitions of one point, so its
-  // dispatch and atomics are paid once per block: a filtered-out scan
-  // repetition costs about as much as one job's overhead. Blocks stay small
-  // enough that every lane still gets at least 64 jobs to balance with.
+  // A job hands one block of consecutive repetitions of one point to the
+  // runner in one call, so its dispatch and atomics are paid once per block,
+  // and a block runner (scan::ProbeRunner) pays no call per repetition
+  // either. Blocks stay small enough that every lane still gets at least 64
+  // jobs to balance with.
   const std::size_t total = selected.size() * win;
   ThreadPool& pool = ThreadPool::Global();
   const std::size_t block = std::clamp<std::size_t>(
@@ -438,17 +453,11 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
         MemoSlot& memo = memos[state.memo];
         PointSummary& summary = result.points[selected[si]];
 
-        std::call_once(state.init, [&] { state.slots.assign(win * n_metrics, 0.0); });
-        for (std::size_t r = first; r < first + len; ++r) {
-          const std::size_t rep = win_begin + r;
-          SweepRunContext ctx{summary.point, static_cast<int>(rep),
-                              seed_base + static_cast<std::uint64_t>(rep) * spec.seed_stride,
-                              memo.memo};
-          const std::vector<double> values = runner(ctx);
-          for (std::size_t m = 0; m < n_metrics; ++m) {
-            state.slots[r * n_metrics + m] = m < values.size() ? values[m] : NoSample();
-          }
-        }
+        std::call_once(state.init,
+                       [&] { state.slots.assign(win * n_metrics, NoSample()); });
+        runner.RunBlock(SweepBlock{summary.point, memo.memo, win_begin + first, len, seed_base,
+                                   spec.seed_stride, state.slots.data() + first * n_metrics,
+                                   n_metrics});
 
         if (state.remaining.fetch_sub(len, std::memory_order_acq_rel) == len) {
           // Last block of this point: fold in repetition order.

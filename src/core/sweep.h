@@ -20,12 +20,12 @@
 // per-repetition vector in repetition order — CDF points (Fig 8), time
 // series (Fig 9, repetition index = study hour), and scatter inputs.
 //
-// Execution is pluggable: repetitions are produced by a SweepRunner. The
-// default runner calls core::RunExperiment on the point's config and applies
-// each MetricSpec's extractor; custom runners probe the scan layer
-// (scan::ProbeRunner / scan::StudyRunner in scan/sweep_runners.h) or
-// evaluate closed-form models, so the measurement-study benches declare axes
-// like testbed benches do.
+// Execution is pluggable: repetitions are produced by a SweepRunner, called
+// once per job with the job's block of repetitions. The default runner calls
+// core::RunExperiment on the point's config and applies each MetricSpec's
+// extractor; custom runners probe the scan layer (scan::ProbeRunner /
+// scan::StudyRunner in scan/sweep_runners.h) or evaluate closed-form models,
+// so the measurement-study benches declare axes like testbed benches do.
 //
 // Determinism: repetition r of every point uses seed_base + r * seed_stride
 // (the schedule of core::RunRepetitions), each value lands in a slot keyed
@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -282,14 +283,77 @@ struct SweepRunContext {
   PointMemo& memo;
 };
 
-/// Produces one repetition's metric values, aligned positionally with
-/// SweepSpec::metrics. A runner may return fewer values than there are
-/// metrics: each missing value is NoSample(), so an empty vector (which
-/// allocates nothing) means "no sample" for every metric. Runners are
-/// called concurrently from pool workers and must be thread-safe;
-/// determinism requires the returned values depend only on the context,
-/// never on call order.
-using SweepRunner = std::function<std::vector<double>(const SweepRunContext&)>;
+/// One block of consecutive repetitions [first, first + count) of one point:
+/// the unit a SweepRunner fills per call. Row i of `slots` holds the values
+/// of repetition first + i, aligned positionally with SweepSpec::metrics;
+/// every slot arrives as NoSample(), so a runner writes only the values it
+/// has.
+struct SweepBlock {
+  const SweepPoint& point;
+  /// The point's memo for this RunSweep call (see SweepRunContext::memo).
+  PointMemo& memo;
+  std::size_t first = 0;
+  std::size_t count = 0;
+  /// The seed schedule: repetition r runs with seed_base + r * seed_stride.
+  std::uint64_t seed_base = 0;
+  std::uint64_t seed_stride = 0;
+  /// count × width value slots, row-major.
+  double* slots = nullptr;
+  std::size_t width = 0;
+
+  std::uint64_t Seed(std::size_t repetition) const {
+    return seed_base + static_cast<std::uint64_t>(repetition) * seed_stride;
+  }
+  /// The slot row of repetition first + i.
+  double* Row(std::size_t i) const { return slots + i * width; }
+};
+
+/// Produces the metric values of a sweep's repetitions, one block per call
+/// (RunBlock). Runners are called concurrently from pool workers and must be
+/// thread-safe; determinism requires the values depend only on the point,
+/// the repetition index and its seed, never on call order or block layout.
+///
+/// Most runners are written per repetition: any callable
+/// (const SweepRunContext&) -> std::vector<double> converts implicitly, and
+/// RunBlock calls it once per repetition of the block. Such a callable may
+/// return fewer values than there are metrics: each missing value is
+/// NoSample(), so an empty vector (which allocates nothing) means "no
+/// sample" for every metric. A runner whose repetitions are too cheap to pay
+/// a call and a vector each (scan::ProbeRunner) is a native block runner:
+/// it fills the slots itself and supplies a one-repetition view of the same
+/// body for operator().
+class SweepRunner {
+ public:
+  using BlockFn = std::function<void(const SweepBlock&)>;
+  using RepetitionFn = std::function<std::vector<double>(const SweepRunContext&)>;
+
+  SweepRunner() = default;
+  SweepRunner(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+  /// A per-repetition runner.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, SweepRunner> &&
+                std::is_invocable_r_v<std::vector<double>, F&, const SweepRunContext&>>>
+  SweepRunner(F&& repetition)  // NOLINT(google-explicit-constructor)
+      : repetition_(std::forward<F>(repetition)) {}
+  /// A native block runner: `block` fills a whole block, `repetition` is its
+  /// one-repetition view for operator() (null when no caller runs one
+  /// repetition).
+  SweepRunner(BlockFn block, RepetitionFn repetition)
+      : block_(std::move(block)), repetition_(std::move(repetition)) {}
+
+  /// Fills `block`'s slots: the execution entry RunSweep calls once per job.
+  void RunBlock(const SweepBlock& block) const;
+  /// One repetition's values, for callers that run one repetition.
+  std::vector<double> operator()(const SweepRunContext& ctx) const {
+    return repetition_(ctx);
+  }
+  explicit operator bool() const { return block_ || repetition_; }
+
+ private:
+  BlockFn block_;  // null for a per-repetition runner
+  RepetitionFn repetition_;
+};
 
 /// Progress snapshot handed to a SweepObserver after each point completes.
 struct SweepProgress {
@@ -317,7 +381,7 @@ struct SweepSpec {
   /// summary metric (TtfbMs, exclude_negative) — the common bench case.
   std::vector<MetricSpec> metrics;
 
-  /// Produces each repetition's values. Null means the experiment runner:
+  /// Produces each block's values. Null means the experiment runner:
   /// RunExperiment(point config with the scheduled seed), then each
   /// MetricSpec::extract.
   SweepRunner runner;

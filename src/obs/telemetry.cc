@@ -43,6 +43,8 @@ constexpr std::array<CounterDesc, kCounterCount> kDescriptors = {{
     {"scan.frontend_cache.misses", MergeMode::kSum},
     {"scan.frontend_cache.ttl_evictions", MergeMode::kSum},
     {"scan.frontend_cache.capacity_evictions", MergeMode::kSum},
+    {"scan.probe_runner.probes", MergeMode::kSum},
+    {"scan.probe_runner.filtered", MergeMode::kSum},
     {"sweep.enumerate_micros", MergeMode::kSum},
     {"sweep.execute_micros", MergeMode::kSum},
     {"sweep.merge_micros", MergeMode::kSum},

@@ -81,6 +81,10 @@ enum Counter : std::size_t {
   kScanFrontendCacheMisses,
   kScanFrontendCacheTtlEvictions,
   kScanFrontendCacheCapacityEvictions,
+  // scan::ProbeRunner, added once per block: repetitions that probed their
+  // domain, and repetitions whose domain the point's CDN filter skipped
+  kScanProbeRunnerProbes,
+  kScanProbeRunnerFiltered,
   // sweep pipeline phase timers (wall microseconds)
   kSweepEnumerateMicros,
   kSweepExecuteMicros,

@@ -42,11 +42,11 @@ std::optional<Cdn> PointCdn(const core::SweepPoint& point);
 std::uint64_t PointDay(const core::SweepPoint& point);
 
 /// The CDN a point admits: only domains hosted by it are probed, every
-/// other repetition skips the probe and returns no values ("no sample" for
-/// every metric, no allocation), which is what keeps a CDN axis as cheap as
-/// the legacy single-pass loops. nullopt (or a null filter) admits every
-/// domain. Called once per point, so a filtered repetition costs one CDN
-/// compare.
+/// other repetition skips the probe and leaves its slots "no sample" for
+/// every metric, which is what keeps a CDN axis as cheap as the legacy
+/// single-pass loops. nullopt (or a null filter) admits every domain.
+/// Called once per point, so inside a block a filtered repetition costs one
+/// CDN compare: no call, no write, no allocation.
 using ProbeFilter = std::function<std::optional<Cdn>(const core::SweepPoint&)>;
 
 /// Filter: the point's "cdn" extra (every domain when the axis is absent).
@@ -57,12 +57,16 @@ ProbeFilter MatchPointCdn();
 using ProbeMetricFn =
     std::function<double(const core::SweepPoint&, const Domain&, const ProbeResult&)>;
 
-/// Runner: repetition r probes population->domains()[r] from the point's
-/// vantage/day extras and applies the per-metric extractors (aligned with
-/// the spec's MetricSpec set). The admitted CDN, vantage and day are
-/// resolved once per point. Use repetitions == population->size(); the
-/// trace of a metric then follows population rank order, exactly like the
-/// legacy per-domain loops.
+/// Block runner: repetition r probes population->domains()[r] from the
+/// point's vantage/day extras and writes the per-metric extractors' values
+/// (aligned with the spec's MetricSpec set) straight into the block's slots.
+/// The admitted CDN, vantage and day are resolved once per point, and read
+/// once per block. Use repetitions == population->size(); the trace of a
+/// metric then follows population rank order, exactly like the legacy
+/// per-domain loops. Repetitions past the population probe nothing. Adds
+/// the block's probes and filtered repetitions to the scan.probe_runner.*
+/// telemetry counters. Its one-repetition operator() runs the same body on
+/// one rank and returns an empty vector for a rank it does not probe.
 core::SweepRunner ProbeRunner(std::shared_ptr<const TrancoPopulation> population,
                               std::uint64_t prober_seed, ProbeFilter filter,
                               std::vector<ProbeMetricFn> metrics);

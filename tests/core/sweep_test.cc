@@ -259,6 +259,65 @@ TEST(Sweep, ShortRunnerResultMeansNoSample) {
   EXPECT_EQ(shortened.points[0].Metric("third")->skipped, 6u);
 }
 
+// A native block runner fills its block's slots itself: the slots it leaves
+// read as NoSample(), the blocks tile the repetition window, and the block's
+// seed schedule is the one a per-repetition runner sees.
+TEST(Sweep, BlockRunnerSlotsItLeavesReadAsNoSample) {
+  SweepSpec spec;
+  spec.name = "block_runner_test";
+  spec.axes.extras = {{"k", {{"a", 1}, {"b", 2}}}};
+  spec.repetitions = 1000;
+  spec.shard.rep_begin = 3;
+  spec.shard.rep_end = 998;
+  spec.metrics = {{"trace", MetricMode::kTrace, /*exclude_negative=*/false, nullptr},
+                  {"summary", MetricMode::kSummary, /*exclude_negative=*/true, nullptr},
+                  {"third", MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
+  // Odd repetitions: no value; repetitions 2 mod 4: the first two metrics.
+  const auto value = [](const SweepPoint& point, std::size_t rep, std::uint64_t seed) {
+    return static_cast<double>(point.Extra("k")->value * 10000 + rep) +
+           static_cast<double>(seed % 7) / 8.0;
+  };
+  spec.runner = [&](const SweepRunContext& ctx) {
+    const double v = ctx.repetition % 2 == 1
+                         ? NoSample()
+                         : value(ctx.point, static_cast<std::size_t>(ctx.repetition), ctx.seed);
+    return std::vector<double>{v, v, ctx.repetition % 4 == 2 ? NoSample() : v};
+  };
+  const SweepResult padded = RunSweep(spec, 1);
+
+  std::atomic<std::size_t> covered{0};
+  std::atomic<std::size_t> blocks{0};
+  std::atomic<std::size_t> bad{0};
+  spec.runner = SweepRunner(
+      [&](const SweepBlock& block) {
+        ++blocks;
+        covered += block.count;
+        if (block.width != 3 || block.first < 3 || block.first + block.count > 998) ++bad;
+        for (std::size_t i = 0; i < block.count; ++i) {
+          double* row = block.Row(i);
+          for (std::size_t m = 0; m < block.width; ++m) {
+            if (!std::isnan(row[m])) ++bad;  // every slot arrives as NoSample()
+          }
+          const std::size_t rep = block.first + i;
+          if (rep % 2 == 1) continue;
+          row[0] = row[1] = value(block.point, rep, block.Seed(rep));
+          if (rep % 4 != 2) row[2] = row[0];
+        }
+      },
+      nullptr);
+  for (unsigned cap : {1u, 4u}) {
+    covered = 0;
+    blocks = 0;
+    const SweepResult blocked = RunSweep(spec, cap);
+    EXPECT_EQ(bad.load(), 0u) << cap;
+    EXPECT_EQ(covered.load(), 2u * 995u) << cap;
+    EXPECT_LT(blocks.load(), covered.load()) << cap;  // blocks of more than one repetition
+    EXPECT_EQ(SweepResultJson(blocked), SweepResultJson(padded)) << cap;
+    EXPECT_EQ(SweepPartialJson(blocked), SweepPartialJson(padded)) << cap;
+    EXPECT_EQ(blocked.points[1].Metric("third")->skipped, 995u - 249u) << cap;
+  }
+}
+
 TEST(Sweep, DefaultMetricIsTtfbWithExcludedNegatives) {
   SweepSpec spec = SmallSpec();
   spec.repetitions = 3;
